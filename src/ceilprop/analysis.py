@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bemt import PropellerGeometry, inflow_ratio
-from .core import CeilingParams, Environment, GapRatio, aerodynamic_power, ceiling_coefficient
+from .core import CeilingParams, Environment, aerodynamic_power, ceiling_coefficient
 from .motor import MotorParams, input_power_from_mechanical
 
 __all__ = [
@@ -55,22 +55,16 @@ def power_saving_curve(
     """
     if thrust_req <= 0.0:
         raise ValueError(f"required thrust must be positive, got {thrust_req}")
-    points = []
-    for distance in np.asarray(distances, dtype=float):
-        delta = GapRatio.from_distance(geom.radius, float(distance)).delta
-        gamma = ceiling_coefficient(delta, ceiling)
-        p_mech = aerodynamic_power(thrust_req, gamma, env, geom.disc_area) / geom.figure_of_merit
-        p_in = input_power_from_mechanical(p_mech, c_tau_const, motor)
-        points.append(
-            PowerCurvePoint(
-                distance=float(distance),
-                delta=delta,
-                gamma=gamma,
-                mechanical_power=p_mech,
-                input_power=p_in,
-            )
-        )
-    return points
+    distance = np.atleast_1d(np.asarray(distances, dtype=float))
+    bad = ~(np.isfinite(distance) & (distance > 0.0))
+    if np.any(bad):
+        raise ValueError(f"gap distance must be positive, got {distance[bad][0]}")
+    delta = geom.radius / distance
+    gamma = ceiling_coefficient(delta, ceiling)
+    p_mech = aerodynamic_power(thrust_req, gamma, env, geom.disc_area) / geom.figure_of_merit
+    p_in = input_power_from_mechanical(p_mech, c_tau_const, motor)
+    columns = (distance, delta, gamma, p_mech, p_in)
+    return [PowerCurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def thrust_amplification(gamma: float) -> float:
@@ -125,9 +119,8 @@ def anomaly_scan(points, fitted: CeilingParams, threshold: float = 0.10) -> list
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    flagged = []
-    for p in points:
-        model = ceiling_coefficient(p.delta, fitted)
-        if (model - p.gamma) / model > threshold:
-            flagged.append(p.delta)
-    return flagged
+    pts = list(points)
+    delta = np.array([p.delta for p in pts], dtype=float)
+    measured = np.array([p.gamma for p in pts], dtype=float)
+    model = ceiling_coefficient(delta, fitted)
+    return delta[(model - measured) / model > threshold].tolist()

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CeilingParams, Environment, _delta_value, ceiling_coefficient
+from .core import CeilingParams, Environment, _delta_value, _scalar_or_array, ceiling_coefficient
 
 __all__ = [
     "PropellerGeometry",
@@ -77,8 +77,7 @@ def inflow_ratio(geom: PropellerGeometry, gamma, delta):
     if np.any(g <= 0.0):
         raise ValueError("ceiling coefficient must be positive")
     b = c1 - c2 * d
-    x = (-b + np.sqrt(b * b + 16.0 * g * g * c0)) / (8.0 * g * g)
-    return float(x) if np.ndim(x) == 0 else x
+    return _scalar_or_array((-b + np.sqrt(b * b + 16.0 * g * g * c0)) / (8.0 * g * g))
 
 
 def bem_thrust(
@@ -100,6 +99,16 @@ def bem_thrust(
     return 0.5 * env.air_density * geom.disc_area * geom.radius**2 * (c0 - c1 * x + c2 * x * d) * omega**2
 
 
+def _thrust_coefficient(delta, gamma, c0, c1, c2, radius, air_density):
+    # Unvalidated c_T, rationalized as 2c0/(b + sqrt(b^2 + 16c0g^2)); the
+    # arguments broadcast.  The two guards keep the fits' derivative probes
+    # below c0's lower bound finite and change no value for valid constants.
+    b = c1 - c2 * delta
+    root = np.sqrt(np.maximum(b * b + 16.0 * c0 * gamma * gamma, 0.0))
+    denom = np.maximum(b + root, 1e-300)
+    return 2.0 * air_density * (math.pi * radius * radius) * (2.0 * c0 * radius * gamma / denom) ** 2
+
+
 def thrust_coefficient(geom: PropellerGeometry, delta, params: CeilingParams, env: Environment):
     """Thrust coefficient c_T [N s^2 / rad^2] at gap ratio delta.
 
@@ -108,10 +117,7 @@ def thrust_coefficient(geom: PropellerGeometry, delta, params: CeilingParams, en
     c0, c1, c2 = geom._coeffs()
     d = _delta_value(delta)
     g = ceiling_coefficient(d, params)
-    b = c1 - c2 * d
-    denom = b + np.sqrt(b * b + 16.0 * c0 * g * g)
-    ct = 2.0 * env.air_density * geom.disc_area * (2.0 * c0 * geom.radius * g / denom) ** 2
-    return float(ct) if np.ndim(ct) == 0 else ct
+    return _scalar_or_array(_thrust_coefficient(d, g, c0, c1, c2, geom.radius, env.air_density))
 
 
 def torque_coefficient(c_t, geom: PropellerGeometry, env: Environment, gamma=1.0):
@@ -129,8 +135,7 @@ def torque_coefficient(c_t, geom: PropellerGeometry, env: Environment, gamma=1.0
         raise ValueError("ceiling coefficient must be positive")
     if geom.figure_of_merit <= 0.0:
         raise ValueError("figure of merit must be positive")
-    ctau = ct**1.5 / (geom.figure_of_merit * g * np.sqrt(2.0 * env.air_density * geom.disc_area))
-    return float(ctau) if np.ndim(ctau) == 0 else ctau
+    return _scalar_or_array(ct**1.5 / (geom.figure_of_merit * g * np.sqrt(2.0 * env.air_density * geom.disc_area)))
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,9 @@ def _cmd_fit_motor(args) -> int:
 
 def _cmd_fit_gamma(args) -> int:
     records = read_steady_csv(args.input)
+    radii = {r.radius for r in records}
+    if len(radii) > 1:
+        raise DataFormatError(f"{args.input}: records mix several radii: {sorted(radii)}")
     motor = None
     if args.motor_params:
         motor = _require(_load_params(args.motor_params).motor, "motor", args.motor_params)
@@ -178,9 +181,6 @@ def _cmd_fit_gamma(args) -> int:
     )
     write_gamma_csv(points, args.out)
     params = _merge_params(args.params)
-    radii = {r.radius for r in records}
-    if len(radii) != 1:
-        raise DataFormatError(f"{args.input}: records mix several radii: {sorted(radii)}")
     old_coeffs = params.geometry.blade_coeffs if params.geometry is not None else None
     params.geometry = PropellerGeometry(radius=radii.pop(), figure_of_merit=eta, blade_coeffs=old_coeffs)
     params.provenance["gamma_fit"] = {
@@ -257,14 +257,12 @@ def _cmd_predict_coeffs(args) -> int:
     ceiling = _require(params.ceiling, "ceiling", args.params)
     env = Environment(air_density=args.density)
     deltas = _expand_ranges(args.deltas, log=args.log)
-    rows = []
-    for delta in deltas:
-        gamma = ceiling_coefficient(float(delta), ceiling)
-        c_t = thrust_coefficient(geometry, float(delta), ceiling, env)
-        c_tau = torque_coefficient(c_t, geometry, env, gamma=gamma)
-        rows.append((float(delta), gamma, c_t, c_tau))
+    gamma = ceiling_coefficient(deltas, ceiling)
+    c_t = thrust_coefficient(geometry, deltas, ceiling, env)
+    c_tau = torque_coefficient(c_t, geometry, env, gamma=gamma)
+    rows = zip(deltas.tolist(), gamma.tolist(), c_t.tolist(), c_tau.tolist())
     _write_table(args.out, ("delta", "gamma", "thrust_coeff_n_s2_rad2", "torque_coeff_nm_s2_rad2"), rows)
-    print(f"predict-coeffs: {len(rows)} gap ratios to {args.out}")
+    print(f"predict-coeffs: {len(deltas)} gap ratios to {args.out}")
     return 0
 
 

@@ -7,7 +7,8 @@ by a dimensionless ceiling factor (>= 1 for a single rotor) that depends on
 the propeller-to-ceiling ratio delta = radius / gap distance.
 
 All quantities are SI.  Functions are pure and accept scalars or numpy
-arrays for ``delta``; delta = 0 encodes "no ceiling".
+arrays for ``delta`` (and, in ``aerodynamic_power``, for every argument);
+delta = 0 encodes "no ceiling".
 """
 
 from __future__ import annotations
@@ -99,18 +100,28 @@ def _delta_value(delta):
     return float(d) if d.ndim == 0 else d
 
 
+def _scalar_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _ceiling_coefficient(delta, asymmetry, recirculation):
+    # Unvalidated ceiling factor; the arguments broadcast.  Fits call it with
+    # parameter columns and with derivative probes just outside the bounds
+    # CeilingParams enforces; the guard keeps the root real for any probe.
+    b = 1.0 - recirculation * delta * delta
+    return 0.5 * b + 0.5 * np.sqrt(np.maximum(b * b + asymmetry * delta * delta / 8.0, 0.0))
+
+
 def ceiling_coefficient(delta, params: CeilingParams):
     """Ceiling factor gamma >= power-reduction ratio at fixed thrust.
 
     gamma = (1 - a1*d^2)/2 + sqrt((1 - a1*d^2)^2 + a0*d^2/8)/2 with
     a0 = asymmetry and a1 = recirculation.  Equals 1 exactly at delta = 0.
     """
-    d = _delta_value(delta)
-    b = 1.0 - params.recirculation * d * d
-    g = 0.5 * b + 0.5 * np.sqrt(b * b + params.asymmetry * d * d / 8.0)
-    if np.any(np.asarray(g) <= 0.0):
+    g = _ceiling_coefficient(_delta_value(delta), params.asymmetry, params.recirculation)
+    if np.any(g <= 0.0):
         raise ValueError("ceiling coefficient must stay positive over the requested range")
-    return float(g) if np.ndim(g) == 0 else g
+    return _scalar_or_array(g)
 
 
 def induced_velocity(thrust: float, gamma: float, env: Environment, disc_area: float) -> float:
@@ -121,7 +132,7 @@ def induced_velocity(thrust: float, gamma: float, env: Environment, disc_area: f
     return math.sqrt(thrust / (2.0 * env.air_density * disc_area * gamma * gamma))
 
 
-def aerodynamic_power(thrust: float, gamma: float, env: Environment, disc_area: float) -> float:
+def aerodynamic_power(thrust, gamma, env: Environment, disc_area):
     """Induced aerodynamic power [W]: thrust times induced velocity.
 
     Near a ceiling (gamma > 1) the same thrust costs a factor gamma less power.
@@ -129,7 +140,7 @@ def aerodynamic_power(thrust: float, gamma: float, env: Environment, disc_area: 
     _check_thrust(thrust)
     _check_gamma(gamma)
     _check_area(disc_area)
-    return thrust * math.sqrt(thrust / (2.0 * env.air_density * disc_area)) / gamma
+    return _scalar_or_array(thrust * np.sqrt(thrust / (2.0 * env.air_density * disc_area)) / gamma)
 
 
 def momentum_residual(v_i: float, v_inf: float, delta, params: CeilingParams) -> float:
@@ -207,15 +218,15 @@ def flow_state(
 
 
 def _check_thrust(thrust):
-    if thrust < 0.0 or not math.isfinite(thrust):
+    if not np.all(np.isfinite(thrust) & (np.asarray(thrust) >= 0.0)):
         raise ValueError(f"thrust must be finite and >= 0, got {thrust}")
 
 
 def _check_gamma(gamma):
-    if gamma <= 0.0 or not math.isfinite(gamma):
+    if not np.all(np.isfinite(gamma) & (np.asarray(gamma) > 0.0)):
         raise ValueError(f"ceiling coefficient must be positive, got {gamma}")
 
 
 def _check_area(area):
-    if area <= 0.0 or not math.isfinite(area):
+    if not np.all(np.isfinite(area) & (np.asarray(area) > 0.0)):
         raise ValueError(f"disc area must be positive, got {area}")

@@ -16,16 +16,17 @@ The pipeline mirrors how the bench data is reduced:
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bemt import PropellerGeometry, thrust_coefficient, torque_coefficient
-from .core import CeilingParams, Environment, ceiling_coefficient
+from .bemt import PropellerGeometry, _thrust_coefficient, thrust_coefficient, torque_coefficient
+from .core import CeilingParams, Environment, _ceiling_coefficient, aerodynamic_power, ceiling_coefficient
 from .leastsq import FitReport, IdentifiabilityError, gauss_newton, slope_through_origin
-from .motor import MotorParams
+from .motor import MotorParams, mechanical_power_from_motor, mechanical_power_from_torque
 
 __all__ = [
     "SteadyRecord",
@@ -68,6 +69,10 @@ class SteadyRecord:
             raise ValueError(f"distance must be positive, got {self.distance}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be positive, got {self.radius}")
+        for name in ("voltage", "current", "thrust", "torque"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.thrust < 0.0:
             raise ValueError(f"thrust must be >= 0, got {self.thrust}")
         if not (math.isfinite(self.omega) and self.omega > 0.0):
@@ -93,14 +98,18 @@ class GammaPoint:
             raise ValueError(f"a slope fit needs at least 2 points, got {self.n_points}")
 
 
-def _mechanical_power(record: SteadyRecord, motor: MotorParams | None) -> float:
-    if record.torque is not None:
-        return record.torque * record.omega
-    if motor is None:
-        raise ValueError(
-            "records without torque need motor parameters to compute the shaft power"
-        )
-    return record.current * motor.back_emf * record.omega
+def _shaft_power(rows, motor: MotorParams | None) -> np.ndarray:
+    # from torque where it was measured, else from the motor model
+    omega = np.array([r.omega for r in rows])
+    measured = np.array([r.torque is not None for r in rows])
+    p_mech = np.empty(len(rows))
+    p_mech[measured] = mechanical_power_from_torque([r.torque for r in rows if r.torque is not None], omega[measured])
+    if not measured.all():
+        if motor is None:
+            raise ValueError("records without torque need motor parameters to compute the shaft power")
+        current = np.array([r.current for r in rows if r.torque is None])
+        p_mech[~measured] = mechanical_power_from_motor(current, omega[~measured], motor)
+    return p_mech
 
 
 def _group_by_distance(records):
@@ -123,7 +132,8 @@ def fit_eta_gamma(
     on the largest-distance group, whose ceiling factor is taken as exactly 1;
     that group must sit at delta < max_anchor_delta so the approximation error
     stays below measurement noise.  Shaft power comes from torque when
-    present, else from the motor model (current * back_emf * omega).
+    present, else from the motor model (current * back_emf * omega); a
+    negative torque or current raises ValueError.
 
     Returns (eta, points) with points sorted by increasing delta.  Groups with
     fewer than 2 records or a non-positive slope are skipped with a warning.
@@ -138,10 +148,8 @@ def fit_eta_gamma(
             warnings.warn(f"skipping distance {distance} m: fewer than 2 setpoints")
             continue
         thrust = np.array([r.thrust for r in rows])
-        p_mech = np.array([_mechanical_power(r, motor) for r in rows])
         area = np.array([math.pi * r.radius**2 for r in rows])
-        x = thrust * np.sqrt(thrust / (2.0 * env.air_density * area))
-        slope, stderr = slope_through_origin(x, p_mech)
+        slope, stderr = slope_through_origin(aerodynamic_power(thrust, 1.0, env, area), _shaft_power(rows, motor))
         if slope <= 0.0:
             warnings.warn(f"skipping distance {distance} m: non-positive power slope")
             continue
@@ -165,12 +173,6 @@ def fit_eta_gamma(
         )
     points.sort(key=lambda p: p.delta)
     return eta, points
-
-
-def _gamma_model(delta, asymmetry, recirculation):
-    # raw model, tolerant of tiny bound overshoot from derivative probing
-    b = 1.0 - recirculation * delta * delta
-    return 0.5 * b + 0.5 * np.sqrt(np.maximum(b * b + asymmetry * delta * delta / 8.0, 0.0))
 
 
 def _point_weights(stderr: np.ndarray) -> np.ndarray:
@@ -200,19 +202,12 @@ def fit_ceiling_params(points, reduced: bool = False) -> tuple[CeilingParams, Fi
         raise ValueError(f"need at least {needed} distinct gap ratios, got {n_distinct}")
 
     sqrt_w = np.sqrt(_point_weights(stderr))
-
-    if reduced:
-        residual = lambda x: sqrt_w * (_gamma_model(delta, x[0], 0.0) - gamma)
-        x0 = _coarse_start(residual, [np.geomspace(1.0, 100.0, 24)])
-        x, gn = gauss_newton(residual, x0, bounds=[(1.0, 100.0)])
-        params = CeilingParams(asymmetry=float(x[0]), recirculation=0.0)
-    else:
-        residual = lambda x: sqrt_w * (_gamma_model(delta, x[0], x[1]) - gamma)
-        x0 = _coarse_start(residual, [np.geomspace(1.0, 100.0, 24), np.linspace(0.0, 0.1, 12)])
-        x, gn = gauss_newton(residual, x0, bounds=[(1.0, 100.0), (0.0, 1.0)])
-        params = CeilingParams(asymmetry=float(x[0]), recirculation=float(x[1]))
-
     names = ("asymmetry",) if reduced else ("asymmetry", "recirculation")
+    residual = lambda x: sqrt_w * (_ceiling_coefficient(delta, x[0], 0.0 if reduced else x[1]) - gamma)
+    x0 = _coarse_start(residual, [np.geomspace(1.0, 100.0, 24), np.linspace(0.0, 0.1, 12)][: len(names)])
+    x, gn = gauss_newton(residual, x0, bounds=[(1.0, 100.0), (0.0, 1.0)][: len(names)])
+    params = CeilingParams(*(float(v) for v in x))
+
     report = FitReport(
         parameters={name: float(v) for name, v in zip(names, x)},
         residual_rms=gn.residual_rms,
@@ -224,12 +219,14 @@ def fit_ceiling_params(points, reduced: bool = False) -> tuple[CeilingParams, Fi
     return params, report
 
 
-def _coarse_start(residual, axes) -> list[float]:
-    # cheap grid scan for a sane Gauss-Newton starting point
-    mesh = np.meshgrid(*axes, indexing="ij")
-    candidates = np.stack([m.ravel() for m in mesh], axis=-1)
-    sse = [float(np.sum(residual(c) ** 2)) for c in candidates]
-    return list(candidates[int(np.argmin(sse))])
+def _coarse_start(residual, axes) -> np.ndarray:
+    # cheap grid scan for a sane Gauss-Newton starting point: each residual
+    # call scores a block of n < 256 candidates, passed as parameter columns
+    # of shape (k, n, 1); blocks keep the temporaries under 1 MiB
+    candidates = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
+    blocks = np.array_split(candidates, max(1, candidates.shape[1] // 128), axis=1)
+    sse = np.concatenate([np.sum(residual(block[..., None]) ** 2, axis=-1) for block in blocks])
+    return candidates[:, int(np.argmin(sse))]
 
 
 def flight_coefficient_points(records) -> tuple[list, list]:
@@ -258,16 +255,6 @@ def flight_coefficient_points(records) -> tuple[list, list]:
     return ct_points, ctau_points
 
 
-def _ct_model(delta, c0, c1, c2, radius, gamma, env):
-    # guarded thrust-coefficient model used inside fits (derivative probing
-    # may push c0 marginally past its lower bound)
-    area = math.pi * radius * radius
-    b = c1 - c2 * delta
-    root = np.sqrt(np.maximum(b * b + 16.0 * c0 * gamma * gamma, 0.0))
-    denom = np.maximum(b + root, 1e-300)
-    return 2.0 * env.air_density * area * (2.0 * c0 * radius * gamma / denom) ** 2
-
-
 def fit_blade_coefficients(
     ct_points,
     ctau_points,
@@ -284,33 +271,27 @@ def fit_blade_coefficients(
     factors come from the supplied fitted ceiling model.  Bounds: c0, c1 in
     (0, 10], c2 in [0, 1].
     """
-    ct = np.array(sorted(ct_points), dtype=float)
+    ct = np.array(sorted(ct_points), dtype=float).reshape(-1, 2)
     if len(ct) == 0:
         raise ValueError("need thrust-coefficient points")
-    ctau = np.array(sorted(ctau_points), dtype=float) if len(list(ctau_points)) else np.empty((0, 2))
-    deltas_all = np.concatenate([ct[:, 0], ctau[:, 0]]) if len(ctau) else ct[:, 0]
-    if len(np.unique(deltas_all)) < 3:
+    ctau = np.array(sorted(ctau_points), dtype=float).reshape(-1, 2)
+    if len(np.unique(np.concatenate([ct[:, 0], ctau[:, 0]]))) < 3:
         raise ValueError("need at least 3 distinct gap ratios")
     if len(ctau) == 0:
         warnings.warn("no torque-coefficient points; fitting thrust series only")
 
-    d_ct, v_ct = ct[:, 0], ct[:, 1]
+    (d_ct, v_ct), (d_cq, v_cq) = ct.T, ctau.T
+    g_ct, g_cq = ceiling_coefficient(d_ct, ceiling), ceiling_coefficient(d_cq, ceiling)
     norm_ct = v_ct[np.argmin(d_ct)]
-    g_ct = _gamma_model(d_ct, ceiling.asymmetry, ceiling.recirculation)
-    if len(ctau):
-        d_cq, v_cq = ctau[:, 0], ctau[:, 1]
-        norm_cq = v_cq[np.argmin(d_cq)]
-        g_cq = _gamma_model(d_cq, ceiling.asymmetry, ceiling.recirculation)
-    area = math.pi * radius * radius
-    power_scale = figure_of_merit * np.sqrt(2.0 * env.air_density * area)
+    norm_cq = v_cq[np.argmin(d_cq)] if len(ctau) else 1.0  # an empty series needs no scale
+    rotor = PropellerGeometry(radius=radius, figure_of_merit=figure_of_merit)
 
     def residual(x):
         c0, c1, c2 = x
-        r_ct = (_ct_model(d_ct, c0, c1, c2, radius, g_ct, env) - v_ct) / norm_ct
-        if not len(ctau):
-            return r_ct
-        model_cq = _ct_model(d_cq, c0, c1, c2, radius, g_cq, env) ** 1.5 / (power_scale * g_cq)
-        return np.concatenate([r_ct, (model_cq - v_cq) / norm_cq])
+        r_ct = (_thrust_coefficient(d_ct, g_ct, c0, c1, c2, radius, env.air_density) - v_ct) / norm_ct
+        c_t = _thrust_coefficient(d_cq, g_cq, c0, c1, c2, radius, env.air_density)
+        r_cq = (torque_coefficient(c_t, rotor, env, gamma=g_cq) - v_cq) / norm_cq
+        return np.concatenate([r_ct, r_cq], axis=-1)
 
     x0 = _coarse_start(
         residual,
@@ -373,36 +354,29 @@ def synthesize_dataset(
     if np.any(setpoints <= 0.0) or not np.all(np.isfinite(setpoints)):
         raise ValueError("setpoints must be positive rotation rates [rad/s]")
     sigmas = _noise_sigmas(noise)
-    rng = np.random.default_rng(seed)
 
-    records = []
-    for distance in distances:
-        delta = geometry.radius / distance
-        gamma = ceiling_coefficient(delta, ceiling)
-        c_t = thrust_coefficient(geometry, delta, ceiling, env)
-        c_tau = torque_coefficient(c_t, geometry, env, gamma=gamma)
-        for idx, omega in enumerate(setpoints):
-            thrust = c_t * omega**2
-            torque = c_tau * omega**2
-            p_mech = torque * omega
-            current = p_mech / (motor.back_emf * omega)
-            voltage = current * motor.resistance + motor.back_emf * omega
-            values = np.array([voltage, current, thrust, torque, omega])
-            if np.any(sigmas > 0.0):
-                values = values * (1.0 + sigmas * rng.standard_normal(len(values)))
-            records.append(
-                SteadyRecord(
-                    config_id=config_id,
-                    radius=geometry.radius,
-                    prop_count=prop_count,
-                    spacing=spacing,
-                    distance=float(distance),
-                    setpoint=f"sp{idx:02d}",
-                    voltage=float(values[0]),
-                    current=float(values[1]),
-                    thrust=float(values[2]),
-                    torque=float(values[3]),
-                    omega=float(values[4]),
-                )
-            )
-    return records
+    # one row per (distance, setpoint) pair, distances outermost
+    delta = geometry.radius / distances[:, None]
+    gamma = ceiling_coefficient(delta, ceiling)
+    c_t = thrust_coefficient(geometry, delta, ceiling, env)
+    c_tau = torque_coefficient(c_t, geometry, env, gamma=gamma)
+    omega = np.broadcast_to(setpoints, (len(distances), len(setpoints)))
+    thrust = c_t * omega**2
+    torque = c_tau * omega**2
+    current = mechanical_power_from_torque(torque, omega) / (motor.back_emf * omega)
+    voltage = current * motor.resistance + motor.back_emf * omega
+    values = np.stack([voltage, current, thrust, torque, omega], axis=-1).reshape(-1, len(NOISE_CHANNELS))
+    if np.any(sigmas > 0.0):
+        values = values * (1.0 + sigmas * np.random.default_rng(seed).standard_normal(values.shape))
+    return [
+        SteadyRecord(
+            config_id=config_id,
+            radius=geometry.radius,
+            prop_count=prop_count,
+            spacing=spacing,
+            distance=distance,
+            setpoint=f"sp{idx:02d}",
+            **dict(zip(NOISE_CHANNELS, row)),
+        )
+        for (distance, idx), row in zip(itertools.product(distances.tolist(), range(len(setpoints))), values.tolist())
+    ]

@@ -97,6 +97,13 @@ def _parse_float(raw: str, row: int, column: str, path) -> float:
         raise DataFormatError(f"{path}: row {row}, column {column}: could not parse {raw!r}") from None
 
 
+def _parse_int(raw: str, row: int, column: str, path) -> int:
+    value = _parse_float(raw, row, column, path)
+    if not value.is_integer():
+        raise DataFormatError(f"{path}: row {row}, column {column}: expected an integer, got {raw!r}")
+    return int(value)
+
+
 def write_steady_csv(records, path) -> None:
     """Write steady records to CSV; lossless against read_steady_csv."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -150,7 +157,7 @@ def read_steady_csv(path) -> list[SteadyRecord]:
                     SteadyRecord(
                         config_id=cell("config_id"),
                         radius=_parse_float(cell("radius_m"), row_num, "radius_m", path),
-                        prop_count=int(_parse_float(cell("prop_count"), row_num, "prop_count", path)),
+                        prop_count=_parse_int(cell("prop_count"), row_num, "prop_count", path),
                         spacing=_parse_float(cell("spacing_m"), row_num, "spacing_m", path),
                         distance=distance,
                         setpoint=cell("setpoint"),
@@ -202,7 +209,7 @@ def read_gamma_csv(path):
                         delta=_parse_float(row[col["delta"]], row_num, "delta", path),
                         gamma=_parse_float(row[col["gamma"]], row_num, "gamma", path),
                         stderr=_parse_float(row[col["stderr"]], row_num, "stderr", path),
-                        n_points=int(_parse_float(row[col["n_points"]], row_num, "n_points", path)),
+                        n_points=_parse_int(row[col["n_points"]], row_num, "n_points", path),
                     )
                 )
             except ValueError as exc:
@@ -296,12 +303,16 @@ def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=
 
 
 def _moving_stats(values: np.ndarray, width: int):
-    # windowed mean and population std via cumulative sums, O(n)
-    cs = np.concatenate([[0.0], np.cumsum(values)])
-    cs2 = np.concatenate([[0.0], np.cumsum(values * values)])
+    # windowed mean and population std via cumulative sums, O(n); centring on
+    # the segment mean first keeps the sums small, so the variance of a small
+    # ripple on a large level does not cancel away
+    offset = np.mean(values)
+    centred = values - offset
+    cs = np.concatenate([[0.0], np.cumsum(centred)])
+    cs2 = np.concatenate([[0.0], np.cumsum(centred * centred)])
     mean = (cs[width:] - cs[:-width]) / width
     var = (cs2[width:] - cs2[:-width]) / width - mean * mean
-    return mean, np.sqrt(np.maximum(var, 0.0))
+    return mean + offset, np.sqrt(np.maximum(var, 0.0))
 
 
 def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability_tol: float = 0.05) -> list[SteadyRecord]:

@@ -1,4 +1,7 @@
-"""First-order brushed-motor model and its identification from bench data."""
+"""First-order brushed-motor model and its identification from bench data.
+
+The power functions accept scalars or numpy arrays, which broadcast.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _scalar_or_array
 from .leastsq import FitReport, IdentifiabilityError
 
 __all__ = [
@@ -49,18 +53,20 @@ class PowerBreakdown:
             )
 
 
-def mechanical_power_from_torque(torque: float, omega: float) -> float:
+def mechanical_power_from_torque(torque, omega):
     """Shaft power [W] as torque times angular rate."""
-    if torque < 0.0 or omega < 0.0:
+    torque, omega = np.asarray(torque, dtype=float), np.asarray(omega, dtype=float)
+    if np.any(torque < 0.0) or np.any(omega < 0.0):
         raise ValueError("torque and rotation rate must be >= 0")
-    return torque * omega
+    return _scalar_or_array(torque * omega)
 
 
-def mechanical_power_from_motor(current: float, omega: float, motor: MotorParams) -> float:
+def mechanical_power_from_motor(current, omega, motor: MotorParams):
     """Shaft power [W] from the motor model: electrical power minus resistive loss."""
-    if current < 0.0 or omega < 0.0:
+    current, omega = np.asarray(current, dtype=float), np.asarray(omega, dtype=float)
+    if np.any(current < 0.0) or np.any(omega < 0.0):
         raise ValueError("current and rotation rate must be >= 0")
-    return current * motor.back_emf * omega
+    return _scalar_or_array(current * motor.back_emf * omega)
 
 
 def identify_motor(records) -> tuple[MotorParams, FitReport]:
@@ -90,7 +96,7 @@ def identify_motor(records) -> tuple[MotorParams, FitReport]:
         raise IdentifiabilityError("all rotation rates are equal; back-EMF is not identifiable")
 
     p_in = current * voltage
-    p_mech = torque * omega
+    p_mech = mechanical_power_from_torque(torque, omega)
 
     # stage 1: (P_in - P_mech) = I^2 * R
     i_sq = current * current
@@ -122,14 +128,15 @@ def identify_motor(records) -> tuple[MotorParams, FitReport]:
     return MotorParams(resistance=resistance, back_emf=back_emf), report
 
 
-def input_power_from_mechanical(p_mech: float, c_tau: float, motor: MotorParams) -> float:
+def input_power_from_mechanical(p_mech, c_tau, motor: MotorParams):
     """Electrical input power [W] needed to deliver a shaft power.
 
     With torque = c_tau * omega^2 the resistive loss I^2*R becomes a power-law
     in the shaft power:  P_in = c_tau^(2/3) k^-2 R P_mech^(4/3) + P_mech.
     c_tau is treated as a constant of the operating regime.
     """
-    if p_mech <= 0.0 or c_tau <= 0.0:
+    p_mech, c_tau = np.asarray(p_mech, dtype=float), np.asarray(c_tau, dtype=float)
+    if np.any(p_mech <= 0.0) or np.any(c_tau <= 0.0):
         raise ValueError("shaft power and torque coefficient must be positive")
     loss = c_tau ** (2.0 / 3.0) / motor.back_emf**2 * motor.resistance * p_mech ** (4.0 / 3.0)
-    return loss + p_mech
+    return _scalar_or_array(loss + p_mech)

@@ -1,9 +1,22 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from ceilprop import ParamSet, read_params, read_steady_csv, write_params
+from ceilprop import (
+    Environment,
+    ParamSet,
+    aerodynamic_power,
+    ceiling_coefficient,
+    input_power_from_mechanical,
+    read_params,
+    read_steady_csv,
+    thrust_coefficient,
+    torque_coefficient,
+    write_params,
+    write_steady_csv,
+)
 from ceilprop.cli import cli_dispatch
 
 
@@ -158,6 +171,63 @@ class TestPipeline:
         gamma_csv = tmp_path / "gamma.csv"
         assert run("fit-gamma", "--input", records_file, "--out", gamma_csv, "--params", fit) == 0
         assert run("fit-blade", "--input", records_file, "--params", fit) == 2
+
+    def test_fit_gamma_mixed_radii_writes_nothing(self, records_file, tmp_path):
+        records = read_steady_csv(records_file)
+        records[3] = dataclasses.replace(records[3], radius=0.05)
+        mixed = tmp_path / "mixed.csv"
+        write_steady_csv(records, mixed)
+        gamma_csv, fit = tmp_path / "gamma.csv", tmp_path / "fit.json"
+        assert run("fit-gamma", "--input", mixed, "--out", gamma_csv, "--params", fit) == 2
+        assert not gamma_csv.exists() and not fit.exists()
+
+    def test_fit_gamma_negative_torque_is_data_error(self, records_file, tmp_path, capsys):
+        records = read_steady_csv(records_file)
+        records[7] = dataclasses.replace(records[7], torque=-1e-6)
+        bad = tmp_path / "bad.csv"
+        write_steady_csv(records, bad)
+        assert run("fit-gamma", "--input", bad, "--out", tmp_path / "gamma.csv", "--params", tmp_path / "fit.json") == 2
+        assert "torque and rotation rate must be >= 0" in capsys.readouterr().err
+
+
+def read_table(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+class TestForwardTables:
+    """The CLI's array tables against the public kernels called one point at a time."""
+
+    def test_predict_coeffs_matches_scalar_kernels(self, truth_file, tmp_path, geom_23mm, single_prop_ceiling, env):
+        out = tmp_path / "coeffs.csv"
+        assert run("predict-coeffs", "--params", truth_file, "--deltas", "0:25:1200", "--out", out) == 0
+        table = read_table(out)
+        assert table.shape == (1200, 4)
+        for delta, gamma, c_t, c_tau in table:
+            want_gamma = ceiling_coefficient(float(delta), single_prop_ceiling)
+            want_ct = thrust_coefficient(geom_23mm, float(delta), single_prop_ceiling, env)
+            assert gamma == pytest.approx(want_gamma, rel=1e-12)
+            assert c_t == pytest.approx(want_ct, rel=1e-12)
+            assert c_tau == pytest.approx(torque_coefficient(want_ct, geom_23mm, env, gamma=want_gamma), rel=1e-12)
+
+    def test_power_saving_matches_scalar_kernels(self, truth_file, tmp_path, geom_23mm, single_prop_ceiling, bench_motor):
+        out = tmp_path / "power.csv"
+        code = run(
+            "power-saving", "--params", truth_file, "--thrust", "0.0863",
+            "--distances", "0.001:0.5:1100", "--log", "--density", "1.225", "--out", out,
+        )
+        assert code == 0
+        table = read_table(out)
+        assert table.shape == (1100, 5)
+        env = Environment(air_density=1.225)
+        c_tau = torque_coefficient(thrust_coefficient(geom_23mm, 0.0, single_prop_ceiling, env), geom_23mm, env)
+        for distance, delta, gamma, p_mech, p_in in table:
+            want_delta = geom_23mm.radius / distance
+            want_gamma = ceiling_coefficient(want_delta, single_prop_ceiling)
+            want_mech = aerodynamic_power(0.0863, want_gamma, env, geom_23mm.disc_area) / geom_23mm.figure_of_merit
+            assert delta == pytest.approx(want_delta, rel=1e-12)
+            assert gamma == pytest.approx(want_gamma, rel=1e-12)
+            assert p_mech == pytest.approx(want_mech, rel=1e-12)
+            assert p_in == pytest.approx(input_power_from_mechanical(want_mech, c_tau, bench_motor), rel=1e-12)
 
 
 class TestExtract:

@@ -119,6 +119,20 @@ class TestInducedVelocityAndPower:
         with pytest.raises(ValueError):
             aerodynamic_power(-1e-9, 1.0, env, 1.6619e-3)
 
+    def test_power_arrays_match_scalar_results(self, env):
+        thrust = np.geomspace(1e-3, 10.0, 30)
+        gamma = np.linspace(1.0, 4.0, 30)
+        area = np.linspace(1e-3, 8e-3, 30)
+        p = aerodynamic_power(thrust, gamma, env, area)
+        assert p.shape == (30,)
+        for i in range(30):
+            assert p[i] == pytest.approx(aerodynamic_power(float(thrust[i]), float(gamma[i]), env, float(area[i])), rel=1e-15)
+        assert isinstance(aerodynamic_power(0.0785, 1.0, env, 1.6619e-3), float)
+        with pytest.raises(ValueError, match="thrust must be finite and >= 0"):
+            aerodynamic_power(np.array([0.1, -1e-9]), 1.0, env, 1.6619e-3)
+        with pytest.raises(ValueError, match="ceiling coefficient must be positive"):
+            aerodynamic_power(0.1, np.array([1.0, 0.0]), env, 1.6619e-3)
+
 
 class TestMomentumResidual:
     def test_ideal_root(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,7 +41,11 @@ class TestSteadyRecord:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("distance", 0.0), ("distance", -1.0), ("radius", 0.0), ("thrust", -1e-6), ("omega", 0.0), ("prop_count", 0)],
+        [
+            ("distance", 0.0), ("distance", -1.0), ("radius", 0.0), ("thrust", -1e-6), ("omega", 0.0), ("prop_count", 0),
+            ("voltage", math.nan), ("current", math.nan), ("thrust", math.nan), ("torque", math.nan),
+            ("thrust", math.inf), ("current", -math.inf),
+        ],
     )
     def test_invalid_fields_rejected(self, field, value):
         kwargs = dict(
@@ -137,6 +142,26 @@ class TestFitEtaGamma:
             fit_eta_gamma(no_torque, env)
         eta, points = fit_eta_gamma(no_torque, env, motor=bench_motor)
         assert eta == pytest.approx(0.50, rel=1e-6)
+
+    def test_mixed_torque_group_uses_both_sources(self, geom_23mm, single_prop_ceiling, bench_motor, env):
+        records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
+        mixed = [dataclasses.replace(r, torque=None) if i % 2 else r for i, r in enumerate(records)]
+        eta, points = fit_eta_gamma(mixed, env, motor=bench_motor)
+        assert eta == pytest.approx(0.50, rel=1e-6)
+        assert len(points) == 21
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("torque", -1e-6, "torque and rotation rate"), ("current", -0.1, "current and rotation rate")],
+    )
+    def test_negative_shaft_power_input_rejected(
+        self, geom_23mm, single_prop_ceiling, bench_motor, env, field, value, message
+    ):
+        records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
+        changes = {field: value} if field == "torque" else {field: value, "torque": None}
+        records[5] = dataclasses.replace(records[5], **changes)
+        with pytest.raises(ValueError, match=message):
+            fit_eta_gamma(records, env, motor=bench_motor)
 
     def test_close_anchor_rejected(self, geom_23mm, single_prop_ceiling, bench_motor, env):
         records = synth(

@@ -20,7 +20,7 @@ from ceilprop import (
     write_params,
     write_steady_csv,
 )
-from ceilprop.io import STEADY_COLUMNS
+from ceilprop.io import STEADY_COLUMNS, _moving_stats
 
 
 @pytest.fixture
@@ -83,6 +83,20 @@ class TestSteadyCsv:
         with pytest.raises(DataFormatError, match="column distance_m: must be positive"):
             read_steady_csv(path)
 
+    def test_nan_cell_names_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = ["c,0.023,1,0.0,0.01,s0,3.0,1.0,0.05,1e-4,2000.0", "c,0.023,1,0.0,0.01,s1,nan,1.0,0.05,1e-4,2000.0"]
+        path.write_text(",".join(STEADY_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match="row 3: voltage must be finite"):
+            read_steady_csv(path)
+
+    def test_fractional_prop_count_names_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        row = "c,0.023,1.7,0.0,0.01,s0,3.0,1.0,0.05,1e-4,2000.0"
+        path.write_text(",".join(STEADY_COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(DataFormatError, match="row 2, column prop_count: expected an integer"):
+            read_steady_csv(path)
+
 
 class TestGammaCsv:
     def test_round_trip(self, tmp_path):
@@ -95,6 +109,12 @@ class TestGammaCsv:
         path = tmp_path / "gamma.csv"
         path.write_text("delta,gamma,stderr\n")
         with pytest.raises(DataFormatError, match="missing column: n_points"):
+            read_gamma_csv(path)
+
+    def test_fractional_n_points_names_row_and_column(self, tmp_path):
+        path = tmp_path / "gamma.csv"
+        path.write_text("delta,gamma,stderr,n_points\n0.23,1.0,0.01,16\n0.5,1.1,0.01,1.7\n")
+        with pytest.raises(DataFormatError, match="row 3, column n_points: expected an integer"):
             read_gamma_csv(path)
 
 
@@ -175,6 +195,16 @@ class TestSteadyStateExtract:
         tolerance = 5.0 * sigma / np.sqrt(width)
         assert record.thrust == pytest.approx(0.05, rel=tolerance)
         assert record.omega == pytest.approx(2000.0, rel=tolerance)
+
+    def test_window_std_keeps_precision_on_large_level(self):
+        # a 1e-3 ripple on a level of 3000: raw cumulative sums cancel and
+        # read window stds anywhere from 0 to 3.8e-3
+        rng = np.random.default_rng(0)
+        values = 3000.0 + 1e-3 * rng.standard_normal(200_000)
+        mean, std = _moving_stats(values, 2000)
+        assert np.all(np.abs(std - 1e-3) < 0.1e-3)
+        starts = range(0, len(mean), 997)
+        assert mean[::997] == pytest.approx([np.mean(values[i : i + 2000]) for i in starts], rel=1e-12)
 
     def test_short_stream_rejected(self):
         n = 500  # 0.5 s at 1 kHz

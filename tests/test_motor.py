@@ -36,6 +36,25 @@ class TestMechanicalPower:
         with pytest.raises(ValueError):
             mechanical_power_from_motor(-1.0, 100.0, bench_motor)
 
+    def test_arrays_match_scalar_results(self, bench_motor):
+        rng = np.random.default_rng(4)
+        torque, current = rng.uniform(0.0, 2e-3, 50), rng.uniform(0.0, 2.0, 50)
+        omega = rng.uniform(0.0, 3000.0, 50)
+        by_torque = mechanical_power_from_torque(torque, omega)
+        by_motor = mechanical_power_from_motor(current, omega, bench_motor)
+        assert by_torque.shape == by_motor.shape == (50,)
+        for i in range(50):
+            assert by_torque[i] == mechanical_power_from_torque(float(torque[i]), float(omega[i]))
+            assert by_motor[i] == mechanical_power_from_motor(float(current[i]), float(omega[i]), bench_motor)
+        assert isinstance(mechanical_power_from_torque(1e-3, 2000.0), float)
+
+    def test_one_negative_array_element_rejected(self, bench_motor):
+        omega = np.array([1000.0, 2000.0])
+        with pytest.raises(ValueError, match="torque and rotation rate must be >= 0"):
+            mechanical_power_from_torque(np.array([1e-4, -1e-4]), omega)
+        with pytest.raises(ValueError, match="current and rotation rate must be >= 0"):
+            mechanical_power_from_motor(np.array([1.0, 0.5]), -omega, bench_motor)
+
 
 class TestIdentifyMotor:
     def test_exact_recovery(self, bench_motor):
@@ -110,6 +129,18 @@ class TestInputPower:
             input_power_from_mechanical(0.0, 1.75e-10, bench_motor)
         with pytest.raises(ValueError):
             input_power_from_mechanical(0.5, 0.0, bench_motor)
+
+    def test_arrays_match_scalar_results(self, bench_motor):
+        p_mech = np.geomspace(1e-3, 10.0, 40)
+        c_tau = np.linspace(1e-10, 3e-10, 40)
+        p_in = input_power_from_mechanical(p_mech, c_tau, bench_motor)
+        assert p_in.shape == (40,)
+        for i in range(40):
+            scalar = input_power_from_mechanical(float(p_mech[i]), float(c_tau[i]), bench_motor)
+            assert p_in[i] == pytest.approx(scalar, rel=1e-15)
+        assert isinstance(input_power_from_mechanical(0.77, 1.75e-10, bench_motor), float)
+        with pytest.raises(ValueError, match="shaft power and torque coefficient must be positive"):
+            input_power_from_mechanical(np.array([0.5, 0.0]), 1.75e-10, bench_motor)
 
 
 class TestParams:
