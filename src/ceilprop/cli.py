@@ -8,7 +8,6 @@ predict-coeffs, power-saving, resonance, anomalies.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -27,6 +26,7 @@ from .fitting import (
 from .io import (
     DataFormatError,
     ParamSet,
+    _write_table,
     dataset_sha256,
     read_gamma_csv,
     read_params,
@@ -96,14 +96,6 @@ def _require(value, what, path):
     if value is None:
         raise DataFormatError(f"{path}: parameter file has no {what} section")
     return value
-
-
-def _write_table(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _cmd_synth(args) -> int:

@@ -92,6 +92,10 @@ class GammaPoint:
     n_points: int
 
     def __post_init__(self):
+        for name in ("delta", "gamma", "stderr"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma <= 0.0:
             raise ValueError(f"ceiling factor must be positive, got {self.gamma}")
         if self.n_points < 2:

@@ -1,13 +1,17 @@
 """Dataset and parameter-file I/O plus steady-state extraction from raw logs.
 
-Steady-state CSV schema (one row per setpoint, UTF-8, LF, '.' decimal):
+Every CSV table (UTF-8, LF, '.' decimal) is declared once, as a column spec
+mapping each column name to the kind of its cells, and is read by
+_read_table and written by _write_table.  The steady-state table holds one
+row per setpoint:
 
     config_id,radius_m,prop_count,spacing_m,distance_m,setpoint,
     voltage_v,current_a,thrust_n,torque_nm,omega_rad_s
 
 torque_nm may be empty (rigs with counter-rotating pairs measure no net
 torque).  Floats are written in shortest round-trip form, so write-then-read
-reproduces records exactly.
+reproduces records exactly.  Every file is written beside its target and
+renamed over it, so a failed write leaves the old file as it was.
 
 Parameter files are schema-versioned JSON holding geometry, ceiling, and
 motor sections (all SI) plus free-form fit provenance.
@@ -15,10 +19,11 @@ motor sections (all SI) plus free-form fit provenance.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
-import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +31,7 @@ import numpy as np
 
 from .bemt import PropellerGeometry
 from .core import CeilingParams
-from .fitting import SteadyRecord
+from .fitting import GammaPoint, SteadyRecord
 from .motor import MotorParams
 
 __all__ = [
@@ -48,37 +53,25 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-STEADY_COLUMNS = (
-    "config_id",
-    "radius_m",
-    "prop_count",
-    "spacing_m",
-    "distance_m",
-    "setpoint",
-    "voltage_v",
-    "current_a",
-    "thrust_n",
-    "torque_nm",
-    "omega_rad_s",
-)
+# kinds of cell in a column spec
+TEXT, FLOAT, INT, FLOAT_OR_EMPTY = "text", "float", "int", "float-or-empty"
 
-RAW_COLUMNS = (
-    "time_s",
-    "setpoint",
-    "voltage_v",
-    "current_a",
-    "thrust_n",
-    "torque_nm",
-    "omega_rad_s",
-)
+STEADY_SPEC = {
+    "config_id": TEXT, "radius_m": FLOAT, "prop_count": INT, "spacing_m": FLOAT, "distance_m": FLOAT,
+    "setpoint": TEXT, "voltage_v": FLOAT, "current_a": FLOAT, "thrust_n": FLOAT, "torque_nm": FLOAT_OR_EMPTY,
+    "omega_rad_s": FLOAT,
+}
+GAMMA_SPEC = {"delta": FLOAT, "gamma": FLOAT, "stderr": FLOAT, "n_points": INT}
+RAW_SPEC = {
+    "time_s": FLOAT, "setpoint": TEXT, "voltage_v": FLOAT, "current_a": FLOAT, "thrust_n": FLOAT,
+    "torque_nm": FLOAT_OR_EMPTY, "omega_rad_s": FLOAT,
+}
+STEADY_COLUMNS = tuple(STEADY_SPEC)
+GAMMA_COLUMNS = tuple(GAMMA_SPEC)
 
 
 class DataFormatError(ValueError):
     """A file does not match the expected schema; the message names row and column."""
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
 
 
 def _check_header(header, expected, path):
@@ -90,133 +83,148 @@ def _check_header(header, expected, path):
             raise DataFormatError(f"{path}: unexpected column: {name}")
 
 
-def _parse_float(raw: str, row: int, column: str, path) -> float:
+def _parse_column(cells, kind):
+    # the whole column at once, with float()'s semantics; ValueError on any bad cell
+    if kind == TEXT:
+        return cells
+    if kind == FLOAT:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    if kind == FLOAT_OR_EMPTY:
+        return [float(c) if c.strip() else None for c in cells]
+    values = list(map(float, cells))
+    if not all(map(float.is_integer, values)):
+        raise ValueError("non-integral cell")
+    return list(map(int, values))
+
+
+def _check_cell(raw: str, kind: str, row: int, column: str, path) -> None:
+    # one cell; raises the DataFormatError that names it
+    raw = raw.strip() if kind == FLOAT_OR_EMPTY else raw
+    if kind == TEXT or (kind == FLOAT_OR_EMPTY and raw == ""):
+        return
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise DataFormatError(f"{path}: row {row}, column {column}: could not parse {raw!r}") from None
-
-
-def _parse_int(raw: str, row: int, column: str, path) -> int:
-    value = _parse_float(raw, row, column, path)
-    if not value.is_integer():
+    if kind == INT and not value.is_integer():
         raise DataFormatError(f"{path}: row {row}, column {column}: expected an integer, got {raw!r}")
-    return int(value)
+
+
+def _read_table(path, spec):
+    """Read the CSV table that spec declares, checking header, cell counts and cells.
+
+    Returns ({column name: cells}, file row number of each row).  FLOAT
+    columns come back as float64 arrays, the others as lists (None for an
+    empty FLOAT_OR_EMPTY cell).  Blank rows are skipped; a bad row or cell
+    raises DataFormatError naming it, the first one in file order.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file, expected a header row") from None
+        _check_header(header, spec, path)
+        width = len(header)
+        rows, blank = [], []
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                blank.append(row_num)
+            elif len(row) != width:
+                raise DataFormatError(f"{path}: row {row_num}: expected {width} cells, got {len(row)}")
+            else:
+                rows.append(row)
+    numbers = range(2, 2 + len(rows) + len(blank))
+    if blank:
+        numbers = np.setdiff1d(numbers, blank)
+    index = {name: header.index(name) for name in spec}
+    try:
+        columns = {name: _parse_column([row[index[name]] for row in rows], kind) for name, kind in spec.items()}
+    except ValueError:
+        # parse cell by cell only now, to name the first bad one
+        for row, row_num in zip(rows, numbers):
+            for name, kind in spec.items():
+                _check_cell(row[index[name]], kind, row_num, name, path)
+        raise
+    return columns, numbers
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    # write a temporary file beside the target and rename it over the target,
+    # so a failed write leaves the old file whole; devices and pipes such as
+    # /dev/stdout cannot be replaced and are written directly
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_table(path, spec, rows) -> None:
+    """Write rows under the header of spec, a column spec or, for an all-float
+    table, just its column names.  Float cells are written in shortest
+    round-trip form, None as an empty cell."""
+    kinds = list(spec.values()) if isinstance(spec, dict) else [FLOAT] * len(spec)
+    if all(kind == FLOAT for kind in kinds):
+        # the CLI's tables of up to 1e5 rows: no per-cell kind test, which costs ~5% of the write
+        cells = ([repr(float(v)) for v in row] for row in rows)
+    else:
+        floats = [kind in (FLOAT, FLOAT_OR_EMPTY) for kind in kinds]
+        cells = ([("" if v is None else repr(float(v))) if f else v for v, f in zip(row, floats)] for row in rows)
+    with _replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(spec)
+        writer.writerows(cells)
+
+
+def _records(cls, columns, numbers, path) -> list:
+    # one cls(*row) per row (the spec lists its columns in cls's field order);
+    # a value that cls rejects names its row
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    out = []
+    for row_num, *values in zip(numbers, *cells):
+        try:
+            out.append(cls(*values))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_num}: {exc}") from None
+    return out
 
 
 def write_steady_csv(records, path) -> None:
     """Write steady records to CSV; lossless against read_steady_csv."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STEADY_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.config_id,
-                    _fmt(r.radius),
-                    r.prop_count,
-                    _fmt(r.spacing),
-                    _fmt(r.distance),
-                    r.setpoint,
-                    _fmt(r.voltage),
-                    _fmt(r.current),
-                    _fmt(r.thrust),
-                    _fmt(r.torque),
-                    _fmt(r.omega),
-                ]
-            )
+    rows = ((r.config_id, r.radius, r.prop_count, r.spacing, r.distance, r.setpoint,
+             r.voltage, r.current, r.thrust, r.torque, r.omega) for r in records)
+    _write_table(path, STEADY_SPEC, rows)
 
 
 def read_steady_csv(path) -> list[SteadyRecord]:
     """Read steady records; raises DataFormatError naming the offending cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        _check_header(header, STEADY_COLUMNS, path)
-        col = {name: header.index(name) for name in STEADY_COLUMNS}
-
-        records = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}: row {row_num}: expected {len(header)} cells, got {len(row)}")
-
-            def cell(name):
-                return row[col[name]]
-
-            distance = _parse_float(cell("distance_m"), row_num, "distance_m", path)
-            if distance <= 0.0 or not math.isfinite(distance):
-                raise DataFormatError(f"{path}: row {row_num}, column distance_m: must be positive")
-            torque_raw = cell("torque_nm").strip()
-            try:
-                records.append(
-                    SteadyRecord(
-                        config_id=cell("config_id"),
-                        radius=_parse_float(cell("radius_m"), row_num, "radius_m", path),
-                        prop_count=_parse_int(cell("prop_count"), row_num, "prop_count", path),
-                        spacing=_parse_float(cell("spacing_m"), row_num, "spacing_m", path),
-                        distance=distance,
-                        setpoint=cell("setpoint"),
-                        voltage=_parse_float(cell("voltage_v"), row_num, "voltage_v", path),
-                        current=_parse_float(cell("current_a"), row_num, "current_a", path),
-                        thrust=_parse_float(cell("thrust_n"), row_num, "thrust_n", path),
-                        torque=None if torque_raw == "" else _parse_float(torque_raw, row_num, "torque_nm", path),
-                        omega=_parse_float(cell("omega_rad_s"), row_num, "omega_rad_s", path),
-                    )
-                )
-            except ValueError as exc:
-                if isinstance(exc, DataFormatError):
-                    raise
-                raise DataFormatError(f"{path}: row {row_num}: {exc}") from None
-    return records
-
-
-GAMMA_COLUMNS = ("delta", "gamma", "stderr", "n_points")
+    columns, numbers = _read_table(path, STEADY_SPEC)
+    distance = columns["distance_m"]
+    bad = np.flatnonzero(~(np.isfinite(distance) & (distance > 0.0)))
+    if bad.size:
+        raise DataFormatError(f"{path}: row {numbers[bad[0]]}, column distance_m: must be positive")
+    return _records(SteadyRecord, columns, numbers, path)
 
 
 def write_gamma_csv(points, path) -> None:
     """Write empirical ceiling-factor points to CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GAMMA_COLUMNS)
-        for p in points:
-            writer.writerow([_fmt(p.delta), _fmt(p.gamma), _fmt(p.stderr), p.n_points])
+    _write_table(path, GAMMA_SPEC, ((p.delta, p.gamma, p.stderr, p.n_points) for p in points))
 
 
-def read_gamma_csv(path):
+def read_gamma_csv(path) -> list[GammaPoint]:
     """Read ceiling-factor points written by write_gamma_csv."""
-    from .fitting import GammaPoint
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        _check_header(header, GAMMA_COLUMNS, path)
-        col = {name: header.index(name) for name in GAMMA_COLUMNS}
-        points = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                points.append(
-                    GammaPoint(
-                        delta=_parse_float(row[col["delta"]], row_num, "delta", path),
-                        gamma=_parse_float(row[col["gamma"]], row_num, "gamma", path),
-                        stderr=_parse_float(row[col["stderr"]], row_num, "stderr", path),
-                        n_points=_parse_int(row[col["n_points"]], row_num, "n_points", path),
-                    )
-                )
-            except ValueError as exc:
-                if isinstance(exc, DataFormatError):
-                    raise
-                raise DataFormatError(f"{path}: row {row_num}: {exc}") from None
-    return points
+    columns, numbers = _read_table(path, GAMMA_SPEC)
+    return _records(GammaPoint, columns, numbers, path)
 
 
 @dataclass(frozen=True)
@@ -257,43 +265,33 @@ class RawSampleStream:
 
 
 def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=0.0) -> RawSampleStream:
-    """Read a raw acquisition CSV (time_s, setpoint, channels) into a stream."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        _check_header(header, RAW_COLUMNS, path)
-        col = {name: header.index(name) for name in RAW_COLUMNS}
-        rows = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}: row {row_num}: expected {len(header)} cells, got {len(row)}")
-            rows.append(row)
+    """Read a raw acquisition CSV (time_s, setpoint, channels) into a stream.
 
-    def column(name, parse=True):
-        out = []
-        for i, row in enumerate(rows, start=2):
-            raw = row[col[name]]
-            out.append(_parse_float(raw, i, name, path) if parse else raw)
-        return out
-
-    torque_raw = [row[col["torque_nm"]].strip() for row in rows]
-    if all(v == "" for v in torque_raw):
-        torque = None
+    An all-empty torque_nm column means the rig measured no torque.  A
+    non-finite sample raises DataFormatError naming its row and column.
+    """
+    columns, numbers = _read_table(path, RAW_SPEC)
+    setpoint = np.array(columns.pop("setpoint"))
+    torque = columns["torque_nm"]
+    if all(v is None for v in torque):
+        del columns["torque_nm"]
+    elif None in torque:
+        raise DataFormatError(f"{path}: row {numbers[torque.index(None)]}, column torque_nm: could not parse ''")
     else:
-        torque = np.array([_parse_float(v, i, "torque_nm", path) for i, v in enumerate(torque_raw, start=2)])
+        columns["torque_nm"] = np.array(torque)
+    first = {name: int(np.argmin(np.isfinite(v))) for name, v in columns.items() if not np.isfinite(v).all()}
+    if first:
+        name = min(first, key=first.get)  # the first in row order, then in column order
+        i = first[name]
+        raise DataFormatError(f"{path}: row {numbers[i]}, column {name}: sample must be finite, got {columns[name][i]}")
     return RawSampleStream(
-        time=np.array(column("time_s")),
-        setpoint=np.array(column("setpoint", parse=False)),
-        voltage=np.array(column("voltage_v")),
-        current=np.array(column("current_a")),
-        thrust=np.array(column("thrust_n")),
-        torque=torque,
-        omega=np.array(column("omega_rad_s")),
+        time=columns["time_s"],
+        setpoint=setpoint,
+        voltage=columns["voltage_v"],
+        current=columns["current_a"],
+        thrust=columns["thrust_n"],
+        torque=columns.get("torque_nm"),
+        omega=columns["omega_rad_s"],
         radius=radius,
         distance=distance,
         config_id=config_id,
@@ -410,7 +408,7 @@ def write_params(params: ParamSet, path) -> None:
         }
     if params.provenance:
         doc["provenance"] = params.provenance
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -194,6 +194,20 @@ def read_table(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+class TestMalformedTables:
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0.5,1.1,0.01", "row 3: expected 4 cells, got 3"), ("nan,1.1,0.01,16", "row 3: delta must be finite")],
+    )
+    def test_fit_ceiling_names_bad_row(self, tmp_path, capsys, row, message):
+        gamma_csv = tmp_path / "gamma.csv"
+        gamma_csv.write_text(f"delta,gamma,stderr,n_points\n0.23,1.0,0.01,16\n{row}\n1.0,1.2,0.01,16\n")
+        fit = tmp_path / "fit.json"
+        assert run("fit-ceiling", "--input", gamma_csv, "--params", fit, "--reduced") == 2
+        assert message in capsys.readouterr().err
+        assert not fit.exists()
+
+
 class TestForwardTables:
     """The CLI's array tables against the public kernels called one point at a time."""
 

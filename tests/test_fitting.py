@@ -57,6 +57,22 @@ class TestSteadyRecord:
             SteadyRecord(**kwargs)
 
 
+class TestGammaPoint:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gamma", 0.0), ("n_points", 1),
+            ("delta", math.nan), ("gamma", math.nan), ("stderr", math.nan),
+            ("delta", math.inf), ("gamma", math.inf), ("stderr", -math.inf),
+        ],
+    )
+    def test_invalid_fields_rejected(self, field, value):
+        kwargs = dict(delta=0.5, gamma=1.1, stderr=0.01, n_points=16)
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            GammaPoint(**kwargs)
+
+
 class TestSynthesizeDataset:
     def test_zero_noise_satisfies_model_identities(self, geom_23mm, single_prop_ceiling, bench_motor, env):
         records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
