@@ -22,10 +22,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
+import operator
 import os
+import shutil
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,14 +60,32 @@ SCHEMA_VERSION = 1
 TEXT, FLOAT, INT, FLOAT_OR_EMPTY = "text", "float", "int", "float-or-empty"
 
 STEADY_SPEC = {
-    "config_id": TEXT, "radius_m": FLOAT, "prop_count": INT, "spacing_m": FLOAT, "distance_m": FLOAT,
-    "setpoint": TEXT, "voltage_v": FLOAT, "current_a": FLOAT, "thrust_n": FLOAT, "torque_nm": FLOAT_OR_EMPTY,
+    "config_id": TEXT,
+    "radius_m": FLOAT,
+    "prop_count": INT,
+    "spacing_m": FLOAT,
+    "distance_m": FLOAT,
+    "setpoint": TEXT,
+    "voltage_v": FLOAT,
+    "current_a": FLOAT,
+    "thrust_n": FLOAT,
+    "torque_nm": FLOAT_OR_EMPTY,
     "omega_rad_s": FLOAT,
 }
-GAMMA_SPEC = {"delta": FLOAT, "gamma": FLOAT, "stderr": FLOAT, "n_points": INT}
+GAMMA_SPEC = {
+    "delta": FLOAT,
+    "gamma": FLOAT,
+    "stderr": FLOAT,
+    "n_points": INT,
+}
 RAW_SPEC = {
-    "time_s": FLOAT, "setpoint": TEXT, "voltage_v": FLOAT, "current_a": FLOAT, "thrust_n": FLOAT,
-    "torque_nm": FLOAT_OR_EMPTY, "omega_rad_s": FLOAT,
+    "time_s": FLOAT,
+    "setpoint": TEXT,
+    "voltage_v": FLOAT,
+    "current_a": FLOAT,
+    "thrust_n": FLOAT,
+    "torque_nm": FLOAT_OR_EMPTY,
+    "omega_rad_s": FLOAT,
 }
 STEADY_COLUMNS = tuple(STEADY_SPEC)
 GAMMA_COLUMNS = tuple(GAMMA_SPEC)
@@ -113,10 +134,14 @@ def _check_cell(raw: str, kind: str, row: int, column: str, path) -> None:
 def _read_table(path, spec):
     """Read the CSV table that spec declares, checking header, cell counts and cells.
 
-    Returns ({column name: cells}, file row number of each row).  FLOAT
+    Returns ({column name: cells}, file row number of each row, fault).  FLOAT
     columns come back as float64 arrays, the others as lists (None for an
-    empty FLOAT_OR_EMPTY cell).  Blank rows are skipped; a bad row or cell
-    raises DataFormatError naming it, the first one in file order.
+    empty FLOAT_OR_EMPTY cell).  Blank rows are skipped; a bad header or cell
+    count raises DataFormatError naming the row.  fault is None, or the
+    DataFormatError naming the first cell in file order that does not parse,
+    and then the columns hold only the rows before that cell's row: the caller
+    checks their values first and raises fault if they pass, so the first bad
+    row of the file is the one named.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -138,23 +163,30 @@ def _read_table(path, spec):
     if blank:
         numbers = np.setdiff1d(numbers, blank)
     index = {name: header.index(name) for name in spec}
+
+    def parse(rows):
+        return {name: _parse_column([row[index[name]] for row in rows], kind) for name, kind in spec.items()}
+
     try:
-        columns = {name: _parse_column([row[index[name]] for row in rows], kind) for name, kind in spec.items()}
+        return parse(rows), numbers, None
     except ValueError:
         # parse cell by cell only now, to name the first bad one
-        for row, row_num in zip(rows, numbers):
-            for name, kind in spec.items():
-                _check_cell(row[index[name]], kind, row_num, name, path)
+        for i, row in enumerate(rows):
+            try:
+                for name, kind in spec.items():
+                    _check_cell(row[index[name]], kind, numbers[i], name, path)
+            except DataFormatError as fault:
+                return parse(rows[:i]), numbers[:i], fault
         raise
-    return columns, numbers
 
 
 @contextlib.contextmanager
 def _replacing(path):
     # write a temporary file beside the target and rename it over the target,
-    # so a failed write leaves the old file whole; devices and pipes such as
-    # /dev/stdout cannot be replaced and are written directly
-    if os.path.exists(path) and not os.path.isfile(path):
+    # so a failed write leaves the old file whole; a symlink (such as
+    # /dev/stdout), pipe or device is written in place, so the link and what
+    # it points to stay as they are
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             yield fh
         return
@@ -162,6 +194,8 @@ def _replacing(path):
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -169,26 +203,32 @@ def _replacing(path):
         raise
 
 
+# how each kind of column is written: floats in shortest round-trip form, None as an empty cell
+_FORMAT = {
+    TEXT: lambda cells: cells,
+    INT: lambda cells: cells,
+    FLOAT: lambda cells: map(repr, map(float, cells)),
+    FLOAT_OR_EMPTY: lambda cells: ["" if v is None else repr(float(v)) for v in cells],
+}
+
+
 def _write_table(path, spec, rows) -> None:
     """Write rows under the header of spec, a column spec or, for an all-float
-    table, just its column names.  Float cells are written in shortest
-    round-trip form, None as an empty cell."""
-    kinds = list(spec.values()) if isinstance(spec, dict) else [FLOAT] * len(spec)
-    if all(kind == FLOAT for kind in kinds):
-        # the CLI's tables of up to 1e5 rows: no per-cell kind test, which costs ~5% of the write
-        cells = ([repr(float(v)) for v in row] for row in rows)
-    else:
-        floats = [kind in (FLOAT, FLOAT_OR_EMPTY) for kind in kinds]
-        cells = ([("" if v is None else repr(float(v))) if f else v for v, f in zip(row, floats)] for row in rows)
+    table, just its column names."""
+    formats = [_FORMAT[kind] for kind in (spec.values() if isinstance(spec, dict) else [FLOAT] * len(spec))]
+    rows = iter(rows)
     with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(spec)
-        writer.writerows(cells)
+        # column by column within blocks of rows: no per-cell kind test, and memory bounded by the block
+        while block := list(itertools.islice(rows, 1024)):
+            writer.writerows(zip(*[fmt(cells) for fmt, cells in zip(formats, zip(*block))]))
 
 
-def _records(cls, columns, numbers, path) -> list:
+def _records(cls, path, columns, numbers, fault=None) -> list:
     # one cls(*row) per row (the spec lists its columns in cls's field order);
-    # a value that cls rejects names its row
+    # a value that cls rejects names its row, and fault, the fault of the row
+    # after the last one given, is raised if every given row passes
     cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
     out = []
     for row_num, *values in zip(numbers, *cells):
@@ -196,35 +236,46 @@ def _records(cls, columns, numbers, path) -> list:
             out.append(cls(*values))
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {row_num}: {exc}") from None
+    if fault is not None:
+        raise fault
     return out
+
+
+def _rows(cls, objects):
+    # each object's fields in cls's field order, which is its spec's column order
+    return map(operator.attrgetter(*(f.name for f in fields(cls) if f.init)), objects)
 
 
 def write_steady_csv(records, path) -> None:
     """Write steady records to CSV; lossless against read_steady_csv."""
-    rows = ((r.config_id, r.radius, r.prop_count, r.spacing, r.distance, r.setpoint,
-             r.voltage, r.current, r.thrust, r.torque, r.omega) for r in records)
-    _write_table(path, STEADY_SPEC, rows)
+    _write_table(path, STEADY_SPEC, _rows(SteadyRecord, records))
 
 
 def read_steady_csv(path) -> list[SteadyRecord]:
-    """Read steady records; raises DataFormatError naming the offending cell."""
-    columns, numbers = _read_table(path, STEADY_SPEC)
+    """Read steady records; raises DataFormatError naming the first bad row.
+
+    Rows are checked in file order; within a row, a cell that does not parse
+    is named before a distance that is not positive, and that before a value
+    that SteadyRecord rejects.
+    """
+    columns, numbers, fault = _read_table(path, STEADY_SPEC)
     distance = columns["distance_m"]
     bad = np.flatnonzero(~(np.isfinite(distance) & (distance > 0.0)))
     if bad.size:
-        raise DataFormatError(f"{path}: row {numbers[bad[0]]}, column distance_m: must be positive")
-    return _records(SteadyRecord, columns, numbers, path)
+        i = bad[0]
+        columns = {name: cells[:i] for name, cells in columns.items()}
+        fault = DataFormatError(f"{path}: row {numbers[i]}, column distance_m: must be positive")
+    return _records(SteadyRecord, path, columns, numbers, fault)
 
 
 def write_gamma_csv(points, path) -> None:
     """Write empirical ceiling-factor points to CSV."""
-    _write_table(path, GAMMA_SPEC, ((p.delta, p.gamma, p.stderr, p.n_points) for p in points))
+    _write_table(path, GAMMA_SPEC, _rows(GammaPoint, points))
 
 
 def read_gamma_csv(path) -> list[GammaPoint]:
     """Read ceiling-factor points written by write_gamma_csv."""
-    columns, numbers = _read_table(path, GAMMA_SPEC)
-    return _records(GammaPoint, columns, numbers, path)
+    return _records(GammaPoint, path, *_read_table(path, GAMMA_SPEC))
 
 
 @dataclass(frozen=True)
@@ -268,22 +319,25 @@ def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=
     """Read a raw acquisition CSV (time_s, setpoint, channels) into a stream.
 
     An all-empty torque_nm column means the rig measured no torque.  A
-    non-finite sample raises DataFormatError naming its row and column.
+    non-finite sample raises DataFormatError naming its row and column; of
+    several bad cells, the first in row order, then column order, is named.
     """
-    columns, numbers = _read_table(path, RAW_SPEC)
+    columns, numbers, fault = _read_table(path, RAW_SPEC)
     setpoint = np.array(columns.pop("setpoint"))
     torque = columns["torque_nm"]
     if all(v is None for v in torque):
         del columns["torque_nm"]
-    elif None in torque:
-        raise DataFormatError(f"{path}: row {numbers[torque.index(None)]}, column torque_nm: could not parse ''")
     else:
-        columns["torque_nm"] = np.array(torque)
+        columns["torque_nm"] = np.array(torque, dtype=float)  # an empty cell reads nan, caught below
     first = {name: int(np.argmin(np.isfinite(v))) for name, v in columns.items() if not np.isfinite(v).all()}
     if first:
         name = min(first, key=first.get)  # the first in row order, then in column order
         i = first[name]
+        if name == "torque_nm" and torque[i] is None:
+            raise DataFormatError(f"{path}: row {numbers[i]}, column torque_nm: could not parse ''")
         raise DataFormatError(f"{path}: row {numbers[i]}, column {name}: sample must be finite, got {columns[name][i]}")
+    if fault is not None:
+        raise fault
     return RawSampleStream(
         time=columns["time_s"],
         setpoint=setpoint,

@@ -139,6 +139,26 @@ class TestSteadyCsv:
         with pytest.raises(DataFormatError, match="row 3, column omega_rad_s: could not parse 'x'"):
             read_steady_csv(path)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # (file row, old cell, new cell) of each fault; the first bad row is named
+            ([(2, "0.01", "0.0"), (4, "3.0", "x")], "row 2, column distance_m: must be positive"),
+            ([(2, "0.05", "-0.05"), (3, "0.01", "0.0")], "row 2: thrust must be >= 0"),
+            ([(2, "3.0", "x"), (3, "0.01", "0.0")], "row 2, column voltage_v: could not parse 'x'"),
+            ([(3, "0.01", "0.0"), (3, "3.0", "x")], "row 3, column voltage_v: could not parse 'x'"),
+            ([(3, "0.01", "0.0"), (3, "0.05", "-0.05")], "row 3, column distance_m: must be positive"),
+        ],
+    )
+    def test_first_bad_row_named_whatever_its_fault(self, tmp_path, bad, message):
+        rows = [STEADY_ROW] * 4
+        for row, old, new in bad:
+            rows[row - 2] = rows[row - 2].replace(old, new, 1)
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(STEADY_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=message):
+            read_steady_csv(path)
+
     @PROPERTY
     @given(
         st.lists(
@@ -201,6 +221,30 @@ class TestGammaCsv:
             write_gamma_csv(points(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["gamma.csv"]
+
+    def test_first_bad_row_named_whatever_its_fault(self, tmp_path):
+        path = tmp_path / "gamma.csv"
+        path.write_text("delta,gamma,stderr,n_points\n0.23,1.0,0.01,16\n0.5,-1.1,0.01,16\n1.0,x,0.01,16\n")
+        with pytest.raises(DataFormatError, match="row 3: ceiling factor must be positive"):
+            read_gamma_csv(path)
+
+    def test_symlink_target_written_link_kept(self, tmp_path):
+        target = tmp_path / "gamma.csv"
+        target.write_text("old\n")
+        link = tmp_path / "latest.csv"
+        link.symlink_to(target)
+        write_gamma_csv([GammaPoint(0.23, 1.0, 0.01, 16)], link)
+        assert link.is_symlink()
+        assert target.read_bytes() == b"delta,gamma,stderr,n_points\n0.23,1.0,0.01,16\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma.csv", "latest.csv"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "gamma.csv"
+        write_gamma_csv([GammaPoint(0.23, 1.0, 0.01, 16)], path)
+        os.chmod(path, 0o640)
+        write_gamma_csv([GammaPoint(0.5, 1.1, 0.01, 16)], path)
+        assert os.stat(path).st_mode & 0o777 == 0o640
+        assert read_gamma_csv(path) == [GammaPoint(0.5, 1.1, 0.01, 16)]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_target_written_in_place(self, tmp_path):
@@ -414,6 +458,25 @@ class TestRawCsv:
         path = tmp_path / "raw.csv"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="row 201, column thrust_n: sample must be finite, got inf"):
+            read_raw_csv(path, radius=0.023, distance=0.01)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # (line index, old cell, new cell) of each fault; the first bad row is named
+            ([(4, ",3.0,", ",nan,"), (8, ",2000.0", ",x")], "row 5, column voltage_v: sample must be finite"),
+            ([(5, ",0.0001,", ",,"), (3, ",1.0,", ",x,")], "row 4, column current_a: could not parse 'x'"),
+            ([(6, ",0.0001,", ",,"), (7, ",0.05,", ",nan,")], "row 7, column torque_nm: could not parse ''"),
+            ([(7, ",0.0001,", ",,"), (6, ",0.05,", ",nan,")], "row 7, column thrust_n: sample must be finite"),
+        ],
+    )
+    def test_first_bad_row_named_whatever_its_fault(self, tmp_path, bad, message):
+        lines = raw_lines()
+        for line, old, new in bad:
+            lines[line] = lines[line].replace(old, new)
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=message):
             read_raw_csv(path, radius=0.023, distance=0.01)
 
 
