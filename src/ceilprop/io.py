@@ -2,8 +2,10 @@
 
 Every CSV table (UTF-8, LF, '.' decimal) is declared once, as a column spec
 mapping each column name to the kind of its cells, and is read by
-_read_table and written by _write_table.  The steady-state table holds one
-row per setpoint:
+_read_table and written by _write_table.  _read_table parses a body with
+numpy's C tokenizer and falls back to the csv module for a body that the
+tokenizer might read differently.  The steady-state table holds one row per
+setpoint:
 
     config_id,radius_m,prop_count,spacing_m,distance_m,setpoint,
     voltage_v,current_a,thrust_n,torque_nm,omega_rad_s
@@ -22,11 +24,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import operator
 import os
 import shutil
+import stat
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -104,6 +109,13 @@ def _check_header(header, expected, path):
             raise DataFormatError(f"{path}: unexpected column: {name}")
 
 
+def _integers(values):
+    # float cell values as ints; ValueError if one is not integral
+    if not all(map(float.is_integer, values)):
+        raise ValueError("non-integral cell")
+    return list(map(int, values))
+
+
 def _parse_column(cells, kind):
     # the whole column at once, with float()'s semantics; ValueError on any bad cell
     if kind == TEXT:
@@ -112,10 +124,7 @@ def _parse_column(cells, kind):
         return np.fromiter(map(float, cells), dtype=float, count=len(cells))
     if kind == FLOAT_OR_EMPTY:
         return [float(c) if c.strip() else None for c in cells]
-    values = list(map(float, cells))
-    if not all(map(float.is_integer, values)):
-        raise ValueError("non-integral cell")
-    return list(map(int, values))
+    return _integers(list(map(float, cells)))
 
 
 def _check_cell(raw: str, kind: str, row: int, column: str, path) -> None:
@@ -131,17 +140,85 @@ def _check_cell(raw: str, kind: str, row: int, column: str, path) -> None:
         raise DataFormatError(f"{path}: row {row}, column {column}: expected an integer, got {raw!r}")
 
 
+_SCAN_BYTES = 1 << 20
+# a NUL ends numpy's text cell, and its float parser strips \x1c-\x1f around
+# a number as whitespace where float() rejects the cell
+_DECLINED_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _plain_body_lines(path):
+    # the number of lines below the header, or None when the file is not a
+    # regular one or holds a byte of _DECLINED_BYTES, a CR outside a CRLF or a
+    # blank line (numpy's tokenizer skips it, so its row numbers would shift)
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    lines, tail = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            window = tail + chunk  # the last two bytes before the chunk, for a pattern across the seam
+            if any(byte in chunk for byte in _DECLINED_BYTES) or b"\n\n" in window:
+                return None
+            if b"\r" in window and (
+                b"\n\r\n" in window or window.count(b"\r") != window.count(b"\r\n") + window.endswith(b"\r")
+            ):
+                return None
+            lines += chunk.count(b"\n")
+            tail = window[-2:]
+    if tail.endswith(b"\r"):
+        return None
+    return lines - tail.endswith(b"\n")
+
+
+def _parse_plain(fh, header, spec, lines):
+    # the body through numpy's C tokenizer in one pass: every cell as a float,
+    # a text cell as its index among the distinct cells of its column.  None
+    # if the tokenizer rejects a cell (float() may read it) or does not find
+    # one row per line and one cell per header column
+    labels = {j: {} for j, name in enumerate(header) if spec[name] == TEXT}
+    converters = {j: (lambda cell, seen=seen: seen.setdefault(cell, len(seen))) for j, seen in labels.items()}
+    try:
+        table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2, converters=converters)
+    except ValueError:
+        return None
+    if table.shape != (lines, len(header)):
+        return None
+    columns = {}
+    for name, kind in spec.items():
+        j = header.index(name)
+        if kind == TEXT:
+            columns[name] = np.array(list(labels[j]))[table[:, j].astype(np.intp)]
+        elif kind == INT:
+            try:
+                columns[name] = _integers(table[:, j].tolist())
+            except ValueError:
+                return None
+        else:
+            columns[name] = table[:, j]
+    return columns
+
+
 def _read_table(path, spec):
     """Read the CSV table that spec declares, checking header, cell counts and cells.
 
     Returns ({column name: cells}, file row number of each row, fault).  FLOAT
-    columns come back as float64 arrays, the others as lists (None for an
-    empty FLOAT_OR_EMPTY cell).  Blank rows are skipped; a bad header or cell
-    count raises DataFormatError naming the row.  fault is None, or the
+    columns come back as float64 arrays and INT columns as lists of int.
+    FLOAT_OR_EMPTY and TEXT columns come back as float64 and str arrays from
+    the C path, and as lists from the csv path (None for an empty
+    FLOAT_OR_EMPTY cell).  Blank rows are skipped; a bad header or cell count
+    raises DataFormatError naming the row.  fault is None, or the
     DataFormatError naming the first cell in file order that does not parse,
     and then the columns hold only the rows before that cell's row: the caller
     checks their values first and raises fault if they pass, so the first bad
     row of the file is the one named.
+
+    The C path parses the body with numpy's C tokenizer.  The csv path
+    (csv.reader, then float() on each cell) reads it instead wherever the
+    tokenizer might not read the same: an empty body; a file that is not a
+    regular one, or holds a NUL, a byte from \x1c to \x1f, a CR outside a
+    CRLF or a blank line; a cell the tokenizer rejects (a bad or empty cell,
+    or one that only float() reads, such as '1_0'); or a row count or cell
+    count that differs from the line count and the header (a quoted line
+    break, a short or long row).  Only the csv path names a faulty cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -150,6 +227,14 @@ def _read_table(path, spec):
         except StopIteration:
             raise DataFormatError(f"{path}: empty file, expected a header row") from None
         _check_header(header, spec, path)
+        lines = _plain_body_lines(path)
+        if lines:
+            fh.seek(0)
+            columns = _parse_plain(fh, header, spec, lines)
+            if columns is not None:
+                return columns, range(2, 2 + lines), None
+            fh.seek(0)
+            next(reader)
         width = len(header)
         rows, blank = [], []
         for row_num, row in enumerate(reader, start=2):
@@ -180,12 +265,25 @@ def _read_table(path, spec):
         raise
 
 
+def _is_stdout(path) -> bool:
+    # whether path names the file open as fd 1
+    try:
+        return os.path.samestat(os.fstat(1), os.stat(path))
+    except OSError:
+        return False
+
+
 @contextlib.contextmanager
 def _replacing(path):
     # write a temporary file beside the target and rename it over the target,
     # so a failed write leaves the old file whole; a symlink (such as
     # /dev/stdout), pipe or device is written in place, so the link and what
-    # it points to stay as they are
+    # it points to stay as they are.  The file open as fd 1 is written through
+    # sys.stdout, so what the program prints next follows it, not overwrites it
+    if _is_stdout(path):
+        yield sys.stdout
+        sys.stdout.flush()
+        return
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             yield fh
@@ -212,17 +310,36 @@ _FORMAT = {
 }
 
 
+def _write_quoting_cr(fh, rows) -> None:
+    # csv.writer quotes a cell that holds a character of its line terminator,
+    # so an LF writer leaves a bare CR unquoted and a reader ends the row
+    # there; these rows go through a CRLF writer and get their LF back
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    for row in rows:
+        writer.writerow(row)
+        fh.write(buf.getvalue()[:-2] + "\n")
+        buf.seek(0)
+        buf.truncate()
+
+
 def _write_table(path, spec, rows) -> None:
     """Write rows under the header of spec, a column spec or, for an all-float
     table, just its column names."""
-    formats = [_FORMAT[kind] for kind in (spec.values() if isinstance(spec, dict) else [FLOAT] * len(spec))]
+    kinds = list(spec.values()) if isinstance(spec, dict) else [FLOAT] * len(spec)
+    formats = [_FORMAT[kind] for kind in kinds]
+    text = [j for j, kind in enumerate(kinds) if kind == TEXT]
     rows = iter(rows)
     with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(spec)
         # column by column within blocks of rows: no per-cell kind test, and memory bounded by the block
         while block := list(itertools.islice(rows, 1024)):
-            writer.writerows(zip(*[fmt(cells) for fmt, cells in zip(formats, zip(*block))]))
+            columns = [fmt(cells) for fmt, cells in zip(formats, zip(*block))]
+            if any("\r" in str(cell) for j in text for cell in columns[j]):
+                _write_quoting_cr(fh, zip(*columns))
+            else:
+                writer.writerows(zip(*columns))
 
 
 def _records(cls, path, columns, numbers, fault=None) -> list:
@@ -323,12 +440,13 @@ def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=
     several bad cells, the first in row order, then column order, is named.
     """
     columns, numbers, fault = _read_table(path, RAW_SPEC)
-    setpoint = np.array(columns.pop("setpoint"))
+    setpoint = np.asarray(columns.pop("setpoint"))
     torque = columns["torque_nm"]
-    if all(v is None for v in torque):
-        del columns["torque_nm"]
-    else:
-        columns["torque_nm"] = np.array(torque, dtype=float)  # an empty cell reads nan, caught below
+    if isinstance(torque, list):  # cells read by the csv path, None where empty
+        if all(v is None for v in torque):
+            del columns["torque_nm"]
+        else:
+            columns["torque_nm"] = np.array(torque, dtype=float)  # an empty cell reads nan, caught below
     first = {name: int(np.argmin(np.isfinite(v))) for name, v in columns.items() if not np.isfinite(v).all()}
     if first:
         name = min(first, key=first.get)  # the first in row order, then in column order

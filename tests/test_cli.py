@@ -1,9 +1,14 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ceilprop
 from ceilprop import (
     Environment,
     ParamSet,
@@ -242,6 +247,18 @@ class TestForwardTables:
             assert gamma == pytest.approx(want_gamma, rel=1e-12)
             assert p_mech == pytest.approx(want_mech, rel=1e-12)
             assert p_in == pytest.approx(input_power_from_mechanical(want_mech, c_tau, bench_motor), rel=1e-12)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/fd")
+    def test_out_naming_stdout_comes_before_summary(self, truth_file, tmp_path):
+        # stdout redirected to a file, and --out naming that file through fd 1
+        table = tmp_path / "res.csv"
+        assert run("resonance", "--params", truth_file, "--deltas", "0:25:51", "--out", table) == 0
+        out = tmp_path / "stdout.txt"
+        argv = ["resonance", "--params", str(truth_file), "--deltas", "0:25:51", "--out", "/proc/self/fd/1"]
+        env = dict(os.environ, PYTHONPATH=str(Path(ceilprop.__file__).parents[1]))
+        with open(out, "w") as fh:
+            subprocess.run([sys.executable, "-m", "ceilprop.cli", *argv], stdout=fh, env=env, check=True, timeout=120)
+        assert out.read_text() == table.read_text() + "resonance: 51 gap ratios to /proc/self/fd/1\n"
 
 
 class TestExtract:

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,9 +41,7 @@ PROPERTY = settings(
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-# no bare carriage return: csv.writer with an LF terminator leaves it unquoted,
-# so such a text cell does not survive a round trip
-TEXT_CELLS = st.text(alphabet=st.sampled_from('az9 ,;"\'\né'), max_size=6)
+TEXT_CELLS = st.text(alphabet=st.sampled_from('az9 ,;"\'\n\ré'), max_size=6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
@@ -480,7 +481,127 @@ class TestRawCsv:
             read_raw_csv(path, radius=0.023, distance=0.01)
 
 
+# cells of a raw log: shortest-repr floats, a number in spaces, and cells
+# that float() reads but numpy's tokenizer does not
+RAW_NUMBERS = st.one_of(FINITE.map(repr), st.sampled_from([" 1.5 ", "1_0", "\u0661"]))
+RAW_COLUMNS = RAW_HEADER.split(",")
+
+
+@st.composite
+def raw_logs(draw):
+    """The text of a raw log, written by csv.writer (so setpoints holding a
+    comma, quote or line break are quoted) with LF or CRLF line ends.  Half
+    the logs are plain: they hold no blank row, line break in a setpoint,
+    empty torque column or cell such as '1_0', which send a log to the csv
+    path."""
+    plain = draw(st.booleans())
+    numbers = st.one_of(FINITE.map(repr), st.just(" 1.5 ")) if plain else RAW_NUMBERS
+    setpoints = st.text(alphabet=st.sampled_from('ab ,"' if plain else 'ab ,"\n'), max_size=4)
+    n = draw(st.integers(1, 5))
+    no_torque = not plain and draw(st.booleans())
+    blank = set() if plain else draw(st.sets(st.integers(0, n), max_size=2))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=terminator)
+    writer.writerow(RAW_COLUMNS)
+    for i in range(n + 1):
+        if i in blank:
+            out.write(terminator)
+        if i < n:
+            voltage, current, thrust, torque, omega = draw(st.lists(numbers, min_size=5, max_size=5))
+            setpoint = draw(setpoints)
+            writer.writerow([repr(i / 1000.0), setpoint, voltage, current, thrust, "" if no_torque else torque, omega])
+    return out.getvalue()
+
+
+def raw_oracle(text):
+    # csv.reader and float(), cell by cell: {column name: values}
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
+    columns = dict(zip(RAW_COLUMNS, map(list, zip(*rows))))
+    if all(cell == "" for cell in columns["torque_nm"]):
+        del columns["torque_nm"]
+    out = {name: np.array([float(cell) for cell in cells]) for name, cells in columns.items() if name != "setpoint"}
+    out["setpoint"] = np.array(columns["setpoint"])
+    return out
+
+
+class TestRawCsvParsers:
+    @PROPERTY
+    @given(raw_logs())
+    @example(RAW_HEADER + "\n0.0,a,3.0,1.0,0.05,0.0001,2000.0\n")
+    @example(RAW_HEADER + '\r\n0.0,"a,b", 1.5 ,1.0,0.05,0.0,5e-324\r\n')
+    @example(RAW_HEADER + "\n0.0,a,1_0,\u0661,0.05,,2.0\n\n0.001,b,3.0,1.0,0.05,,2.0\n")
+    @example(RAW_HEADER + '\n0.0,"a\nb",3.0,1.0,0.05,0.0001,2000.0\n')
+    def test_read_equals_csv_reader_and_float(self, tmp_path, text):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(text.encode("utf-8"))
+        stream = read_raw_csv(path, radius=0.023, distance=0.01)
+        got = dict(
+            time_s=stream.time, setpoint=stream.setpoint, voltage_v=stream.voltage, current_a=stream.current,
+            thrust_n=stream.thrust, torque_nm=stream.torque, omega_rad_s=stream.omega,
+        )
+        if stream.torque is None:
+            del got["torque_nm"]
+        want = raw_oracle(text)
+        assert got.keys() == want.keys()
+        for name, values in want.items():
+            assert got[name].dtype == values.dtype, name
+            assert repr(got[name].tolist()) == repr(values.tolist()), name  # repr also tells -0.0 from 0.0
+
+    def test_read_memory_stays_near_file_size(self, tmp_path):
+        # a log shaped like a bench campaign's: 64k rows at 1 kHz, 16
+        # setpoints, 7-digit samples; holding every row as a list of strings
+        # before parsing peaked at about ten times the file
+        n = 64_000
+        rng = np.random.default_rng(3)
+        channels = np.array([3.0, 1.0, 0.05, 1e-4, 2000.0]) * (1.0 + 0.005 * rng.standard_normal((n, 5)))
+        table = np.column_stack([np.arange(n) / 1000.0, np.arange(n) * 16 // n, channels])
+        path = tmp_path / "raw.csv"
+        np.savetxt(path, table, fmt="%.3f,sp%02d,%.7g,%.7g,%.7g,%.7g,%.7g", header=RAW_HEADER, comments="")
+        tracemalloc.start()
+        try:
+            stream = read_raw_csv(path, radius=0.023, distance=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream.time) == n and stream.setpoint[-1] == "sp15"
+        assert peak < 3 * path.stat().st_size
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestParamFiles:
+    @PROPERTY
+    @given(
+        st.builds(
+            ParamSet,
+            geometry=st.none() | st.builds(
+                PropellerGeometry,
+                radius=POSITIVE,
+                figure_of_merit=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                blade_coeffs=st.none() | st.tuples(POSITIVE, POSITIVE, st.floats(0.0, allow_infinity=False)),
+            ),
+            ceiling=st.none() | st.builds(
+                CeilingParams,
+                asymmetry=st.floats(1.0, allow_infinity=False),
+                recirculation=st.floats(0.0, allow_infinity=False),
+            ),
+            motor=st.none() | st.builds(MotorParams, resistance=POSITIVE, back_emf=POSITIVE),
+            provenance=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4),
+        )
+    )
+    def test_round_trip_property(self, tmp_path, params):
+        path = tmp_path / "fit.json"
+        write_params(params, path)
+        back = read_params(path)
+        assert back == params
+        assert repr([back.geometry, back.ceiling, back.motor]) == repr([params.geometry, params.ceiling, params.motor])
+
     def test_full_round_trip(self, tmp_path, geom_23mm, single_prop_ceiling, bench_motor):
         params = ParamSet(
             geometry=geom_23mm,
