@@ -173,11 +173,14 @@ def _parse_plain(fh, header, spec, lines):
     # the body through numpy's C tokenizer in one pass: every cell as a float,
     # a text cell as its index among the distinct cells of its column.  None
     # if the tokenizer rejects a cell (float() may read it) or does not find
-    # one row per line and one cell per header column
+    # one row per line and one cell per header column.  The encoding is given
+    # because numpy 1.x would otherwise hand the converters bytes, not str
     labels = {j: {} for j, name in enumerate(header) if spec[name] == TEXT}
     converters = {j: (lambda cell, seen=seen: seen.setdefault(cell, len(seen))) for j, seen in labels.items()}
     try:
-        table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2, converters=converters)
+        table = np.loadtxt(
+            fh, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2, converters=converters, encoding="utf-8"
+        )
     except ValueError:
         return None
     if table.shape != (lines, len(header)):
@@ -279,10 +282,12 @@ def _replacing(path):
     # so a failed write leaves the old file whole; a symlink (such as
     # /dev/stdout), pipe or device is written in place, so the link and what
     # it points to stay as they are.  The file open as fd 1 is written through
-    # sys.stdout, so what the program prints next follows it, not overwrites it
+    # fd 1 itself, at its offset, so what the program prints next follows it
+    # instead of overwriting it
     if _is_stdout(path):
-        yield sys.stdout
         sys.stdout.flush()
+        with open(1, "w", newline="", encoding="utf-8", closefd=False) as fh:
+            yield fh
         return
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -262,6 +262,25 @@ class TestForwardTables:
 
 
 class TestExtract:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/fd")
+    def test_out_naming_stdout_is_utf8_whatever_stdout_encoding(self, tmp_path):
+        # the table written through fd 1 is UTF-8 like every other table,
+        # though sys.stdout encodes ASCII
+        raw = tmp_path / "raw.csv"
+        lines = ["time_s,setpoint,voltage_v,current_a,thrust_n,torque_nm,omega_rad_s"]
+        lines += [f"{i / 1000.0},é,3.0,1.0,0.05,0.0001,2000.0" for i in range(2500)]
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = tmp_path / "steady.csv"
+        args = ["--input", str(raw), "--radius", "0.023", "--distance", "0.01"]
+        assert run("extract", *args, "--out", table) == 0
+        out = tmp_path / "stdout.txt"
+        env = dict(os.environ, PYTHONPATH=str(Path(ceilprop.__file__).parents[1]), PYTHONIOENCODING="ascii")
+        with open(out, "w") as fh:
+            argv = [sys.executable, "-m", "ceilprop.cli", "extract", *args, "--out", "/proc/self/fd/1"]
+            subprocess.run(argv, stdout=fh, env=env, check=True, timeout=120)
+        summary = f"extract: 1 steady records from {raw} to /proc/self/fd/1\n"
+        assert out.read_bytes() == table.read_bytes() + summary.encode()
+
     def test_extract_subcommand(self, tmp_path):
         raw = tmp_path / "raw.csv"
         lines = ["time_s,setpoint,voltage_v,current_a,thrust_n,torque_nm,omega_rad_s"]

@@ -565,6 +565,7 @@ class TestRawCsvParsers:
         finally:
             tracemalloc.stop()
         assert len(stream.time) == n and stream.setpoint[-1] == "sp15"
+        assert stream.setpoint.dtype.kind == "U"  # labels are str, not the bytes of numpy 1.x converters
         assert peak < 3 * path.stat().st_size
 
 
