@@ -37,6 +37,23 @@ class PowerCurvePoint:
             raise ValueError("powers must satisfy input >= mechanical > 0")
 
 
+def _power_columns(thrust_req, geom, ceiling, motor, c_tau_const, distances, env):
+    # power_saving_curve's columns as arrays: distance, delta, gamma, mechanical and input power
+    if thrust_req <= 0.0:
+        raise ValueError(f"required thrust must be positive, got {thrust_req}")
+    distance = np.atleast_1d(np.asarray(distances, dtype=float))
+    bad = ~(np.isfinite(distance) & (distance > 0.0))
+    if np.any(bad):
+        raise ValueError(f"gap distance must be positive, got {distance[bad][0]}")
+    delta = geom.radius / distance
+    gamma = ceiling_coefficient(delta, ceiling)
+    p_mech = aerodynamic_power(thrust_req, gamma, env, geom.disc_area) / geom.figure_of_merit
+    p_in = input_power_from_mechanical(p_mech, c_tau_const, motor)
+    if not np.all((p_in >= p_mech) & (p_mech > 0.0)):  # a NaN fails too
+        raise ValueError("powers must satisfy input >= mechanical > 0")
+    return distance, delta, gamma, p_mech, p_in
+
+
 def power_saving_curve(
     thrust_req: float,
     geom: PropellerGeometry,
@@ -53,17 +70,7 @@ def power_saving_curve(
     input power follows from the motor model with a constant torque
     coefficient c_tau_const for the regime.
     """
-    if thrust_req <= 0.0:
-        raise ValueError(f"required thrust must be positive, got {thrust_req}")
-    distance = np.atleast_1d(np.asarray(distances, dtype=float))
-    bad = ~(np.isfinite(distance) & (distance > 0.0))
-    if np.any(bad):
-        raise ValueError(f"gap distance must be positive, got {distance[bad][0]}")
-    delta = geom.radius / distance
-    gamma = ceiling_coefficient(delta, ceiling)
-    p_mech = aerodynamic_power(thrust_req, gamma, env, geom.disc_area) / geom.figure_of_merit
-    p_in = input_power_from_mechanical(p_mech, c_tau_const, motor)
-    columns = (distance, delta, gamma, p_mech, p_in)
+    columns = _power_columns(thrust_req, geom, ceiling, motor, c_tau_const, distances, env)
     return [PowerCurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 

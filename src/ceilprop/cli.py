@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .analysis import anomaly_scan, power_saving_curve, resonance_scan
+from .analysis import _power_columns, anomaly_scan, resonance_scan
 from .bemt import PropellerGeometry, thrust_coefficient, torque_coefficient
 from .core import Environment, ceiling_coefficient
 from .fitting import (
@@ -252,8 +252,8 @@ def _cmd_predict_coeffs(args) -> int:
     gamma = ceiling_coefficient(deltas, ceiling)
     c_t = thrust_coefficient(geometry, deltas, ceiling, env)
     c_tau = torque_coefficient(c_t, geometry, env, gamma=gamma)
-    rows = zip(deltas.tolist(), gamma.tolist(), c_t.tolist(), c_tau.tolist())
-    _write_table(args.out, ("delta", "gamma", "thrust_coeff_n_s2_rad2", "torque_coeff_nm_s2_rad2"), rows)
+    columns = (deltas, gamma, c_t, c_tau)
+    _write_table(args.out, ("delta", "gamma", "thrust_coeff_n_s2_rad2", "torque_coeff_nm_s2_rad2"), columns)
     print(f"predict-coeffs: {len(deltas)} gap ratios to {args.out}")
     return 0
 
@@ -271,18 +271,10 @@ def _cmd_power_saving(args) -> int:
                 f"{args.params}: need --c-tau or geometry blade coefficients to fix the torque coefficient"
             )
         c_tau = torque_coefficient(thrust_coefficient(geometry, 0.0, ceiling, env), geometry, env)
-    points = power_saving_curve(
-        args.thrust,
-        geometry,
-        ceiling,
-        motor,
-        c_tau,
-        _expand_ranges(args.distances, log=args.log),
-        env,
-    )
-    rows = [(p.distance, p.delta, p.gamma, p.mechanical_power, p.input_power) for p in points]
-    _write_table(args.out, ("distance_m", "delta", "gamma", "mechanical_power_w", "input_power_w"), rows)
-    print(f"power-saving: {len(rows)} distances to {args.out} (thrust {args.thrust} N, c_tau {c_tau:.6g})")
+    distances = _expand_ranges(args.distances, log=args.log)
+    columns = _power_columns(args.thrust, geometry, ceiling, motor, c_tau, distances, env)
+    _write_table(args.out, ("distance_m", "delta", "gamma", "mechanical_power_w", "input_power_w"), columns)
+    print(f"power-saving: {len(columns[0])} distances to {args.out} (thrust {args.thrust} N, c_tau {c_tau:.6g})")
     return 0
 
 
@@ -293,9 +285,8 @@ def _cmd_resonance(args) -> int:
         raise DataFormatError(f"{args.params}: geometry has no blade coefficients")
     ceiling = _require(params.ceiling, "ceiling", args.params)
     scan = resonance_scan(geometry, ceiling, _expand_ranges(args.deltas, log=args.log))
-    rows = list(zip(scan.deltas.tolist(), scan.inflow_ratios.tolist(), scan.products.tolist()))
-    _write_table(args.out, ("delta", "inflow_ratio", "product"), rows)
-    print(f"resonance: {len(rows)} gap ratios to {args.out}")
+    _write_table(args.out, ("delta", "inflow_ratio", "product"), (scan.deltas, scan.inflow_ratios, scan.products))
+    print(f"resonance: {len(scan.deltas)} gap ratios to {args.out}")
     return 0
 
 
@@ -304,7 +295,7 @@ def _cmd_anomalies(args) -> int:
     params = _load_params(args.params)
     ceiling = _require(params.ceiling, "ceiling", args.params)
     flagged = anomaly_scan(points, ceiling, threshold=args.threshold)
-    _write_table(args.out, ("delta",), [(d,) for d in flagged])
+    _write_table(args.out, ("delta",), [flagged])
     print(f"anomalies: flagged {len(flagged)} of {len(points)} points to {args.out}")
     return 0
 

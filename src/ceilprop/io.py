@@ -11,9 +11,12 @@ setpoint:
     voltage_v,current_a,thrust_n,torque_nm,omega_rad_s
 
 torque_nm may be empty (rigs with counter-rotating pairs measure no net
-torque).  Floats are written in shortest round-trip form, so write-then-read
-reproduces records exactly.  Every file is written beside its target and
-renamed over it, so a failed write leaves the old file as it was.
+torque).  _write_table writes columns a block of rows at a time, each row
+joined by "," and ended by LF: floats as repr (shortest round-trip, so
+write-then-read reproduces records exactly), ints as str, an empty cell as
+nothing, and a text cell holding a comma, quote, CR or LF in quotes with its
+quotes doubled, as the csv module quotes.  Every file is written beside its
+target and renamed over it, so a failed write leaves the old file as it was.
 
 Parameter files are schema-versioned JSON holding geometry, ceiling, and
 motor sections (all SI) plus free-form fit provenance.
@@ -24,10 +27,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
-import io
-import itertools
 import json
-import operator
 import os
 import shutil
 import stat
@@ -128,9 +128,8 @@ def _parse_column(cells, kind):
 
 
 def _check_cell(raw: str, kind: str, row: int, column: str, path) -> None:
-    # one cell; raises the DataFormatError that names it
-    raw = raw.strip() if kind == FLOAT_OR_EMPTY else raw
-    if kind == TEXT or (kind == FLOAT_OR_EMPTY and raw == ""):
+    # one cell, tested as _parse_column tests it; raises the DataFormatError that names it
+    if kind == TEXT or (kind == FLOAT_OR_EMPTY and not raw.strip()):
         return
     try:
         value = float(raw)
@@ -306,45 +305,37 @@ def _replacing(path):
         raise
 
 
-# how each kind of column is written: floats in shortest round-trip form, None as an empty cell
-_FORMAT = {
-    TEXT: lambda cells: cells,
-    INT: lambda cells: cells,
-    FLOAT: lambda cells: map(repr, map(float, cells)),
-    FLOAT_OR_EMPTY: lambda cells: ["" if v is None else repr(float(v)) for v in cells],
-}
+_BLOCK = 4096  # rows formatted at a time, which bounds the memory a write takes
 
 
-def _write_quoting_cr(fh, rows) -> None:
-    # csv.writer quotes a cell that holds a character of its line terminator,
-    # so an LF writer leaves a bare CR unquoted and a reader ends the row
-    # there; these rows go through a CRLF writer and get their LF back
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    for row in rows:
-        writer.writerow(row)
-        fh.write(buf.getvalue()[:-2] + "\n")
-        buf.seek(0)
-        buf.truncate()
+def _quote(cell) -> str:
+    # csv's minimal quoting: a cell holding a comma, a quote or a line break is
+    # quoted, with each quote doubled
+    cell = str(cell)
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
-def _write_table(path, spec, rows) -> None:
-    """Write rows under the header of spec, a column spec or, for an all-float
-    table, just its column names."""
+def _cells(kind, block):
+    # one block of one column as str cells: floats in shortest round-trip form, None as an empty cell
+    if kind == FLOAT:
+        return map(repr, np.asarray(block, dtype=float).tolist())
+    if kind == FLOAT_OR_EMPTY:
+        return ["" if v is None else repr(float(v)) for v in block]
+    return map(str if kind == INT else _quote, block)
+
+
+def _write_table(path, spec, columns) -> None:
+    """Write columns, one sequence of cells per column of spec, under the
+    header of spec: a column spec or, for an all-float table, its column names."""
     kinds = list(spec.values()) if isinstance(spec, dict) else [FLOAT] * len(spec)
-    formats = [_FORMAT[kind] for kind in kinds]
-    text = [j for j, kind in enumerate(kinds) if kind == TEXT]
-    rows = iter(rows)
+    (n,) = {len(column) for column in columns}
     with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(spec)
-        # column by column within blocks of rows: no per-cell kind test, and memory bounded by the block
-        while block := list(itertools.islice(rows, 1024)):
-            columns = [fmt(cells) for fmt, cells in zip(formats, zip(*block))]
-            if any("\r" in str(cell) for j in text for cell in columns[j]):
-                _write_quoting_cr(fh, zip(*columns))
-            else:
-                writer.writerows(zip(*columns))
+        fh.write(",".join(map(_quote, spec)) + "\n")
+        for start in range(0, n, _BLOCK):
+            rows = zip(*(_cells(kind, column[start : start + _BLOCK]) for kind, column in zip(kinds, columns)))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _records(cls, path, columns, numbers, fault=None) -> list:
@@ -363,14 +354,15 @@ def _records(cls, path, columns, numbers, fault=None) -> list:
     return out
 
 
-def _rows(cls, objects):
-    # each object's fields in cls's field order, which is its spec's column order
-    return map(operator.attrgetter(*(f.name for f in fields(cls) if f.init)), objects)
+def _columns(cls, objects):
+    # the objects' fields as columns, in cls's field order, which is its spec's column order
+    objects = list(objects)
+    return [[getattr(o, f.name) for o in objects] for f in fields(cls) if f.init]
 
 
 def write_steady_csv(records, path) -> None:
     """Write steady records to CSV; lossless against read_steady_csv."""
-    _write_table(path, STEADY_SPEC, _rows(SteadyRecord, records))
+    _write_table(path, STEADY_SPEC, _columns(SteadyRecord, records))
 
 
 def read_steady_csv(path) -> list[SteadyRecord]:
@@ -392,7 +384,7 @@ def read_steady_csv(path) -> list[SteadyRecord]:
 
 def write_gamma_csv(points, path) -> None:
     """Write empirical ceiling-factor points to CSV."""
-    _write_table(path, GAMMA_SPEC, _rows(GammaPoint, points))
+    _write_table(path, GAMMA_SPEC, _columns(GammaPoint, points))
 
 
 def read_gamma_csv(path) -> list[GammaPoint]:
@@ -441,8 +433,9 @@ def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=
     """Read a raw acquisition CSV (time_s, setpoint, channels) into a stream.
 
     An all-empty torque_nm column means the rig measured no torque.  A
-    non-finite sample raises DataFormatError naming its row and column; of
-    several bad cells, the first in row order, then column order, is named.
+    non-finite sample, or a time_s not above the one before it, raises
+    DataFormatError naming its row and column; of several bad cells, the
+    first in row order, then column order, is named.
     """
     columns, numbers, fault = _read_table(path, RAW_SPEC)
     setpoint = np.asarray(columns.pop("setpoint"))
@@ -452,12 +445,18 @@ def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=
             del columns["torque_nm"]
         else:
             columns["torque_nm"] = np.array(torque, dtype=float)  # an empty cell reads nan, caught below
-    first = {name: int(np.argmin(np.isfinite(v))) for name, v in columns.items() if not np.isfinite(v).all()}
+    ok = {name: np.isfinite(v) for name, v in columns.items()}
+    time = columns["time_s"]
+    ok["time_s"][1:] &= time[1:] > time[:-1]  # each time above the one before it
+    first = {name: int(np.argmin(v)) for name, v in ok.items() if not v.all()}
     if first:
         name = min(first, key=first.get)  # the first in row order, then in column order
         i = first[name]
         if name == "torque_nm" and torque[i] is None:
             raise DataFormatError(f"{path}: row {numbers[i]}, column torque_nm: could not parse ''")
+        if name == "time_s" and np.isfinite(time[i]):
+            detail = f"timestamps must strictly increase, got {time[i]} after {time[i - 1]}"
+            raise DataFormatError(f"{path}: row {numbers[i]}, column time_s: {detail}")
         raise DataFormatError(f"{path}: row {numbers[i]}, column {name}: sample must be finite, got {columns[name][i]}")
     if fault is not None:
         raise fault

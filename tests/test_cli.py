@@ -248,6 +248,41 @@ class TestForwardTables:
             assert p_mech == pytest.approx(want_mech, rel=1e-12)
             assert p_in == pytest.approx(input_power_from_mechanical(want_mech, c_tau, bench_motor), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv, table",
+        [
+            (
+                ["predict-coeffs", "--deltas", "0.1:5:4"],
+                "delta,gamma,thrust_coeff_n_s2_rad2,torque_coeff_nm_s2_rad2\n"
+                "0.1,1.000499750249688,2.9041029384289608e-08,1.5664719667535707e-10\n"
+                "1.7333333333333336,1.1326311897323924,3.3690632559530366e-08,1.729007325841889e-10\n"
+                "3.366666666666667,1.4037268515553925,4.086434395843904e-08,1.8636132586618003e-10\n"
+                "5.0,1.724744871391589,4.747022345598201e-08,1.8990161331978506e-10\n",
+            ),
+            (
+                ["power-saving", "--thrust", "0.0863", "--distances", "0.002:0.1:4", "--log"],
+                "distance_m,delta,gamma,mechanical_power_w,input_power_w\n"
+                "0.002,11.5,3.119637379485947,0.2573556342284318,0.319309107442671\n"
+                "0.0073680629972807735,3.1215802590841424,1.358611184236026,0.5909389424110997,0.7786158758505466\n"
+                "0.027144176165949066,0.8473272446872889,1.0346944669430083,0.7759355848614495,1.045785100968702\n"
+                "0.1,0.22999999999999998,1.0026380407410485,0.8007438614307302,1.082157781053389\n",
+            ),
+            (
+                ["resonance", "--deltas", "0.5:20:4"],
+                "delta,inflow_ratio,product\n"
+                "0.5,0.11710500333187837,0.058552501665939186\n"
+                "7.0,0.07463784270598288,0.5224648989418802\n"
+                "13.5,0.04996916109179858,0.6745836747392808\n"
+                "20.0,0.03726530379065671,0.7453060758131342\n",
+            ),
+        ],
+        ids=["predict-coeffs", "power-saving", "resonance"],
+    )
+    def test_table_bytes_pinned(self, truth_file, tmp_path, argv, table):
+        out = tmp_path / "table.csv"
+        assert run(*argv, "--params", truth_file, "--out", out) == 0
+        assert out.read_bytes() == table.encode()
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/fd")
     def test_out_naming_stdout_comes_before_summary(self, truth_file, tmp_path):
         # stdout redirected to a file, and --out naming that file through fd 1
@@ -280,6 +315,17 @@ class TestExtract:
             subprocess.run(argv, stdout=fh, env=env, check=True, timeout=120)
         summary = f"extract: 1 steady records from {raw} to /proc/self/fd/1\n"
         assert out.read_bytes() == table.read_bytes() + summary.encode()
+
+    def test_cell_with_separator_byte_is_data_error_naming_it(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        lines = ["time_s,setpoint,voltage_v,current_a,thrust_n,torque_nm,omega_rad_s"]
+        lines += [f"{i / 1000.0},a,3.0,1.0,0.05,0.0001,2000.0" for i in range(2500)]
+        lines[1] = lines[1].replace("0.0001", "\x1c0.0001")
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "steady.csv"
+        assert run("extract", "--input", raw, "--out", out, "--radius", "0.023", "--distance", "0.01") == 2
+        assert "row 2, column torque_nm: could not parse '\\x1c0.0001'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_extract_subcommand(self, tmp_path):
         raw = tmp_path / "raw.csv"

@@ -28,6 +28,7 @@ from ceilprop import (
     write_params,
     write_steady_csv,
 )
+import ceilprop.io
 from ceilprop.io import GAMMA_COLUMNS, STEADY_COLUMNS, _moving_stats
 
 RAW_HEADER = "time_s,setpoint,voltage_v,current_a,thrust_n,torque_nm,omega_rad_s"
@@ -44,6 +45,25 @@ PROPERTY = settings(
 TEXT_CELLS = st.text(alphabet=st.sampled_from('az9 ,;"\'\n\ré'), max_size=6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# floats whose text is easy to get wrong: signed zeros, subnormals, and the
+# magnitudes where repr switches between positional and exponent form
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1e16, -1e16, 1e-7, 9999999999999998.0, 1e-5])
+
+
+def steady_reference(records) -> bytes:
+    """The bytes of a steady table as csv.writer writes it with CRLF rows,
+    each row's CRLF turned into LF: floats as repr, None as an empty cell."""
+    out = []
+    for r in [None, *records]:
+        row = STEADY_COLUMNS if r is None else [
+            r.config_id, repr(float(r.radius)), r.prop_count, repr(float(r.spacing)), repr(float(r.distance)),
+            r.setpoint, repr(float(r.voltage)), repr(float(r.current)), repr(float(r.thrust)),
+            "" if r.torque is None else repr(float(r.torque)), repr(float(r.omega)),
+        ]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out).encode("utf-8")
 
 
 def raw_lines(n=2500):
@@ -178,6 +198,40 @@ class TestSteadyCsv:
         write_steady_csv(records, path)
         back = read_steady_csv(path)
         assert repr(back) == repr(records)  # repr also tells -0.0 from 0.0
+
+    @PROPERTY
+    @given(
+        st.lists(
+            st.builds(
+                SteadyRecord,
+                config_id=st.text(alphabet=st.sampled_from('a ,"\r\néΩ'), max_size=6), radius=POSITIVE,
+                prop_count=st.integers(1, 10**6), spacing=FINITE | EDGE_FLOATS, distance=POSITIVE,
+                setpoint=st.text(alphabet=st.sampled_from('b ,"\r\n\u2028ü'), max_size=6),
+                voltage=FINITE | EDGE_FLOATS, current=EDGE_FLOATS, thrust=EDGE_FLOATS.map(abs),
+                torque=st.none() | EDGE_FLOATS | FINITE, omega=POSITIVE | EDGE_FLOATS.filter(lambda v: v > 0),
+            ),
+            max_size=6,
+        )
+    )
+    @example([SteadyRecord('"', 1e16, 3, -0.0, 1e-7, "a\rb", 5e-324, -5e-324, 0.0, None, 1.5e-310)])
+    def test_written_bytes_equal_csv_writer(self, tmp_path, records):
+        path = tmp_path / "records.csv"
+        write_steady_csv(records, path)
+        assert path.read_bytes() == steady_reference(records)
+
+    def test_blocks_join_into_one_table(self, tmp_path, monkeypatch, thousand_records):
+        path = tmp_path / "records.csv"
+        monkeypatch.setattr(ceilprop.io, "_BLOCK", 7)  # 1008 rows: 144 blocks
+        write_steady_csv(thousand_records, path)
+        assert path.read_bytes() == steady_reference(thousand_records)
+
+    @pytest.mark.parametrize("torque", ["\x1c1e-4", "1e-4\x1f"])
+    def test_cell_with_separator_byte_named(self, tmp_path, torque):
+        # str.strip() removes \x1c-\x1f but float() rejects them
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(STEADY_COLUMNS) + "\n" + STEADY_ROW.replace("1e-4", torque) + "\n")
+        with pytest.raises(DataFormatError, match="row 2, column torque_nm: could not parse"):
+            read_steady_csv(path)
 
 
 class TestGammaCsv:
@@ -461,6 +515,32 @@ class TestRawCsv:
         with pytest.raises(DataFormatError, match="row 201, column thrust_n: sample must be finite, got inf"):
             read_raw_csv(path, radius=0.023, distance=0.01)
 
+    @pytest.mark.parametrize("torque", ["\x1c0.0001", "0.0001\x1f"])
+    def test_cell_with_separator_byte_named(self, tmp_path, torque):
+        lines = raw_lines()
+        lines[1] = lines[1].replace("0.0001", torque)
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="row 2, column torque_nm: could not parse"):
+            read_raw_csv(path, radius=0.023, distance=0.01)
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ({101: "0.099"}, "row 102, column time_s: timestamps must strictly increase, got 0.099 after 0.099"),
+            ({201: "0.201", 202: "0.2"}, "row 203, column time_s: timestamps must strictly increase, got 0.2 after 0.201"),
+        ],
+        ids=["repeated", "out-of-order"],
+    )
+    def test_timestamp_not_increasing_names_row(self, tmp_path, times, message):
+        lines = raw_lines()
+        for line, time in times.items():
+            lines[line] = time + lines[line][lines[line].index(","):]
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=message):
+            read_raw_csv(path, radius=0.023, distance=0.01)
+
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -469,6 +549,10 @@ class TestRawCsv:
             ([(5, ",0.0001,", ",,"), (3, ",1.0,", ",x,")], "row 4, column current_a: could not parse 'x'"),
             ([(6, ",0.0001,", ",,"), (7, ",0.05,", ",nan,")], "row 7, column torque_nm: could not parse ''"),
             ([(7, ",0.0001,", ",,"), (6, ",0.05,", ",nan,")], "row 7, column thrust_n: sample must be finite"),
+            ([(5, "0.004,", "0.003,"), (7, ",1.0,", ",x,")], "row 6, column time_s: timestamps must strictly increase"),
+            ([(7, "0.006,", "0.005,"), (4, ",1.0,", ",x,")], "row 5, column current_a: could not parse 'x'"),
+            ([(6, "0.005,", "0.004,"), (6, ",0.05,", ",nan,")], "row 7, column time_s: timestamps must strictly increase"),
+            ([(6, "0.005,", "0.006,"), (5, ",0.05,", ",nan,")], "row 6, column thrust_n: sample must be finite"),
         ],
     )
     def test_first_bad_row_named_whatever_its_fault(self, tmp_path, bad, message):
