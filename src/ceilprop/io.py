@@ -445,10 +445,13 @@ def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=
             del columns["torque_nm"]
         else:
             columns["torque_nm"] = np.array(torque, dtype=float)  # an empty cell reads nan, caught below
-    ok = {name: np.isfinite(v) for name, v in columns.items()}
     time = columns["time_s"]
-    ok["time_s"][1:] &= time[1:] > time[:-1]  # each time above the one before it
-    first = {name: int(np.argmin(v)) for name, v in ok.items() if not v.all()}
+    rising = np.r_[True, time[1:] > time[:-1]]  # each time above the one before it
+    first = {}  # column name: index of its first bad row; one mask at a time, as a log may be large
+    for name, values in columns.items():
+        ok = np.isfinite(values) & rising if name == "time_s" else np.isfinite(values)
+        if not ok.all():
+            first[name] = int(np.argmin(ok))
     if first:
         name = min(first, key=first.get)  # the first in row order, then in column order
         i = first[name]
