@@ -3,7 +3,7 @@
 
     python3 tools/bench_record.py --out BENCH_6.json \
         [--tree parent=../parent-checkout] [--tree change=.] \
-        [--workloads campaign fit_batch sweep] [--runs 5] [--seed 11] [--seconds 10] [--no-tests]
+        [--workloads campaign fit_batch sweep] [--runs 5] [--seed 11] [--seconds 10]
 
 For each workload, runs ``python3 bench/run.py --workload W --seed S
 --seconds T --trace 0`` --runs times in every tree (a checkout of the
@@ -12,8 +12,9 @@ every other round, so that a change in the host's load falls on all of them
 alike.  It records, per tree, the median, quartiles, min and max of each
 end-to-end metric and every run's value, the failed-request counts, the git
 SHA, Python and numpy versions, nproc, and the wall time of the tier-1 suite
-(``python -m pytest -q`` with PYTHONPATH=src).  An existing --out file keeps
-the trees this run does not record.
+(``python -m pytest -q`` with PYTHONPATH=src).  --out is written afresh with
+the trees of this one invocation only, so every record in it was measured
+under the same alternation.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=5, help="runs per workload and tree (default 5)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=10.0, help="--seconds of each bench run (default 10)")
-    parser.add_argument("--no-tests", action="store_true", help="do not time the tier-1 suite")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -124,13 +124,10 @@ def main(argv=None) -> int:
                 print(f"{workload} run {run + 1}/{args.runs} {label}: request_ms_p50 {value:.4g} ms", file=sys.stderr)
         for label in trees:
             record[label]["bench"]["workloads"][workload] = _summary(results[label])
-    if not args.no_tests:
-        for label, tree in trees.items():
-            record[label]["tier1"] = _tier1(tree)
+    for label, tree in trees.items():
+        record[label]["tier1"] = _tier1(tree)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.update(record)
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
