@@ -159,9 +159,6 @@ def _cmd_fit_motor(args) -> int:
 
 def _cmd_fit_gamma(args) -> int:
     records = read_steady_csv(args.input)
-    radii = {r.radius for r in records}
-    if len(radii) > 1:
-        raise DataFormatError(f"{args.input}: records mix several radii: {sorted(radii)}")
     motor = None
     if args.motor_params:
         motor = _require(_load_params(args.motor_params).motor, "motor", args.motor_params)
@@ -174,7 +171,7 @@ def _cmd_fit_gamma(args) -> int:
     write_gamma_csv(points, args.out)
     params = _merge_params(args.params)
     old_coeffs = params.geometry.blade_coeffs if params.geometry is not None else None
-    params.geometry = PropellerGeometry(radius=radii.pop(), figure_of_merit=eta, blade_coeffs=old_coeffs)
+    params.geometry = PropellerGeometry(radius=records[0].radius, figure_of_merit=eta, blade_coeffs=old_coeffs)
     params.provenance["gamma_fit"] = {
         "dataset_sha256": dataset_sha256(args.input),
         "n_obs": len(records),

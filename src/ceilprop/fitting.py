@@ -6,7 +6,8 @@ The pipeline mirrors how the bench data is reduced:
 
 1. For each propeller-to-ceiling distance, the shaft power is linear in
    T*sqrt(T / (2 rho A)) through the origin; the slope equals
-   1 / (figure_of_merit * ceiling_factor).
+   1 / (figure_of_merit * ceiling_factor).  One fit is for one propeller in
+   one configuration, so records that mix radius or config_id are rejected.
 2. The largest-distance group anchors the figure of merit (its ceiling
    factor is taken as 1), which turns every other slope into an empirical
    ceiling-factor point.
@@ -19,13 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .bemt import PropellerGeometry, _thrust_coefficient, thrust_coefficient, torque_coefficient
 from .core import CeilingParams, Environment, _ceiling_coefficient, aerodynamic_power, ceiling_coefficient
-from .leastsq import FitReport, IdentifiabilityError, gauss_newton, slope_through_origin
+from .leastsq import FitReport, IdentifiabilityError, _group_slopes, gauss_newton
 from .motor import MotorParams, mechanical_power_from_motor, mechanical_power_from_torque
 
 __all__ = [
@@ -102,25 +104,32 @@ class GammaPoint:
             raise ValueError(f"a slope fit needs at least 2 points, got {self.n_points}")
 
 
-def _shaft_power(rows, motor: MotorParams | None) -> np.ndarray:
-    # from torque where it was measured, else from the motor model
-    omega = np.array([r.omega for r in rows])
-    measured = np.array([r.torque is not None for r in rows])
-    p_mech = np.empty(len(rows))
-    p_mech[measured] = mechanical_power_from_torque([r.torque for r in rows if r.torque is not None], omega[measured])
-    if not measured.all():
-        if motor is None:
-            raise ValueError("records without torque need motor parameters to compute the shaft power")
-        current = np.array([r.current for r in rows if r.torque is None])
-        p_mech[~measured] = mechanical_power_from_motor(current, omega[~measured], motor)
-    return p_mech
+def _columns(cls, objects):
+    # the objects' fields as columns, in cls's field order, which is its CSV spec's column order
+    names = [f.name for f in fields(cls) if f.init]
+    return list(zip(*map(attrgetter(*names), objects))) or [()] * len(names)
 
 
-def _group_by_distance(records):
-    groups: dict[float, list[SteadyRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.distance, []).append(rec)
-    return dict(sorted(groups.items()))
+def _distance_groups(records):
+    # one propeller's records (ValueError if they mix radius or config_id) as
+    # (float columns, group index of each record, distance and gap ratio of
+    # each group by increasing distance); torque reads nan where not measured,
+    # and groups of fewer than 2 records are dropped with a warning
+    config_id, radius, _, _, distance, _, *values = _columns(SteadyRecord, records)
+    for name, column in (("radius", radius), ("config_id", config_id)):
+        if len(set(column)) > 1:
+            raise ValueError(f"records mix several {name} values: {sorted(set(column))}")
+    names = ("radius", "distance", "voltage", "current", "thrust", "torque", "omega")
+    columns = {name: np.array(column, dtype=float) for name, column in zip(names, (radius, distance, *values))}
+    _, group, counts = np.unique(columns["distance"], return_inverse=True, return_counts=True)
+    keep = counts[group] >= 2
+    for lone in np.sort(columns["distance"][~keep]).tolist():
+        warnings.warn(f"skipping distance {lone} m: fewer than 2 setpoints")
+    columns = {name: column[keep] for name, column in columns.items()}
+    distance, group = np.unique(columns["distance"], return_inverse=True)
+    delta = np.empty(len(distance))
+    delta[group] = columns["radius"] / columns["distance"]
+    return columns, group, distance, delta
 
 
 def fit_eta_gamma(
@@ -137,46 +146,38 @@ def fit_eta_gamma(
     that group must sit at delta < max_anchor_delta so the approximation error
     stays below measurement noise.  Shaft power comes from torque when
     present, else from the motor model (current * back_emf * omega); a
-    negative torque or current raises ValueError.
+    negative torque or current raises ValueError.  The records must be of one
+    propeller in one configuration: records that mix radius or config_id
+    raise ValueError.
 
     Returns (eta, points) with points sorted by increasing delta.  Groups with
     fewer than 2 records or a non-positive slope are skipped with a warning.
     """
-    groups = _group_by_distance(records)
-    if not groups:
-        raise ValueError("no records given")
-
-    slopes = []  # (distance, delta, slope, stderr, n)
-    for distance, rows in groups.items():
-        if len(rows) < 2:
-            warnings.warn(f"skipping distance {distance} m: fewer than 2 setpoints")
-            continue
-        thrust = np.array([r.thrust for r in rows])
-        area = np.array([math.pi * r.radius**2 for r in rows])
-        slope, stderr = slope_through_origin(aerodynamic_power(thrust, 1.0, env, area), _shaft_power(rows, motor))
-        if slope <= 0.0:
-            warnings.warn(f"skipping distance {distance} m: non-positive power slope")
-            continue
-        slopes.append((distance, rows[0].delta, slope, stderr, len(rows)))
-
-    if not slopes:
+    columns, group, distance, delta = _distance_groups(records)
+    omega = columns["omega"]
+    shaft = mechanical_power_from_torque(columns["torque"], omega)  # nan where torque was not measured
+    missing = np.isnan(shaft)
+    if missing.any():
+        if motor is None:
+            raise ValueError("records without torque need motor parameters to compute the shaft power")
+        shaft[missing] = mechanical_power_from_motor(columns["current"][missing], omega[missing], motor)
+    area = np.pi * columns["radius"] ** 2
+    slope, stderr = _group_slopes(group, aerodynamic_power(columns["thrust"], 1.0, env, area), shaft)
+    usable = slope > 0.0
+    for skipped in distance[~usable].tolist():
+        warnings.warn(f"skipping distance {skipped} m: non-positive power slope")
+    if not usable.any():
         raise ValueError("no distance group has enough usable records")
-    anchor = max(slopes, key=lambda t: t[0])
-    if anchor[1] >= max_anchor_delta:
+    slope, stderr, delta, n_points = slope[usable], stderr[usable], delta[usable], np.bincount(group)[usable]
+    if delta[-1] >= max_anchor_delta:
         raise IdentifiabilityError(
-            f"largest-distance group sits at delta = {anchor[1]:.3g} >= {max_anchor_delta}; "
+            f"largest-distance group sits at delta = {delta[-1]:.3g} >= {max_anchor_delta}; "
             "the no-ceiling anchor needs a farther measurement"
         )
-    eta = 1.0 / anchor[2]
-
-    points = []
-    for _, delta, slope, stderr, n in slopes:
-        gamma = 1.0 / (eta * slope)
-        points.append(
-            GammaPoint(delta=delta, gamma=gamma, stderr=stderr / (eta * slope * slope), n_points=n)
-        )
-    points.sort(key=lambda p: p.delta)
-    return eta, points
+    eta = float(1.0 / slope[-1])
+    gamma, gamma_stderr = 1.0 / (eta * slope), stderr / (eta * slope * slope)
+    points = map(GammaPoint, delta.tolist(), gamma.tolist(), gamma_stderr.tolist(), n_points.tolist())
+    return eta, sorted(points, key=lambda p: p.delta)
 
 
 def _point_weights(stderr: np.ndarray) -> np.ndarray:
@@ -239,24 +240,14 @@ def flight_coefficient_points(records) -> tuple[list, list]:
     Returns (ct_points, ctau_points), each a list of (delta, value) sorted by
     delta.  Torque points are produced only for groups where every record has
     a torque measurement.  Groups with fewer than 2 records are skipped with
-    a warning.
+    a warning.  Records that mix radius or config_id raise ValueError.
     """
-    ct_points = []
-    ctau_points = []
-    for distance, rows in _group_by_distance(records).items():
-        if len(rows) < 2:
-            warnings.warn(f"skipping distance {distance} m: fewer than 2 setpoints")
-            continue
-        omega_sq = np.array([r.omega**2 for r in rows])
-        thrust = np.array([r.thrust for r in rows])
-        delta = rows[0].delta
-        ct_points.append((delta, slope_through_origin(omega_sq, thrust)[0]))
-        if all(r.torque is not None for r in rows):
-            torque = np.array([r.torque for r in rows])
-            ctau_points.append((delta, slope_through_origin(omega_sq, torque)[0]))
-    ct_points.sort()
-    ctau_points.sort()
-    return ct_points, ctau_points
+    columns, group, _, delta = _distance_groups(records)
+    omega_sq = columns["omega"] ** 2
+    ct = _group_slopes(group, omega_sq, columns["thrust"])[0]
+    ctau = _group_slopes(group, omega_sq, columns["torque"])[0]  # nan where a torque is missing
+    measured = ~np.isnan(ctau)
+    return sorted(zip(delta.tolist(), ct.tolist())), sorted(zip(delta[measured].tolist(), ctau[measured].tolist()))
 
 
 def fit_blade_coefficients(

@@ -33,13 +33,13 @@ import shutil
 import stat
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bemt import PropellerGeometry
 from .core import CeilingParams
-from .fitting import GammaPoint, SteadyRecord
+from .fitting import GammaPoint, SteadyRecord, _columns
 from .motor import MotorParams
 
 __all__ = [
@@ -104,9 +104,11 @@ def _check_header(header, expected, path):
     for name in expected:
         if name not in header:
             raise DataFormatError(f"{path}: missing column: {name}")
-    for name in header:
+    for j, name in enumerate(header):
         if name not in expected:
             raise DataFormatError(f"{path}: unexpected column: {name}")
+        if name in header[:j]:
+            raise DataFormatError(f"{path}: repeated column: {name}")
 
 
 def _integers(values):
@@ -354,12 +356,6 @@ def _records(cls, path, columns, numbers, fault=None) -> list:
     return out
 
 
-def _columns(cls, objects):
-    # the objects' fields as columns, in cls's field order, which is its spec's column order
-    objects = list(objects)
-    return [[getattr(o, f.name) for o in objects] for f in fields(cls) if f.init]
-
-
 def write_steady_csv(records, path) -> None:
     """Write steady records to CSV; lossless against read_steady_csv."""
     _write_table(path, STEADY_SPEC, _columns(SteadyRecord, records))
@@ -599,8 +595,13 @@ def read_params(path) -> ParamSet:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: top level: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
+    for key in ("geometry", "ceiling", "motor", "provenance"):
+        if key in doc and not isinstance(doc[key], dict):
+            raise DataFormatError(f"{path}: {key}: expected a JSON object")
     params = ParamSet(provenance=doc.get("provenance", {}))
     try:
         if "geometry" in doc:

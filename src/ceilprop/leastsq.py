@@ -32,19 +32,28 @@ class FitReport:
     notes: tuple = ()
 
 
+def _group_slopes(group, x, y):
+    # slope of y on x through the origin, and its std error, for each group
+    # 0..k-1 of at least 2 points, from bincount sums; the variance sums the
+    # residuals themselves, as sum(y*y) - slope*sum(x*y) cancels
+    n = np.bincount(group)
+    sxx = np.bincount(group, weights=x * x)
+    if np.any(sxx <= 0.0):
+        raise IdentifiabilityError("regressor is identically zero")
+    slope = np.bincount(group, weights=x * y) / sxx
+    resid = y - slope[group] * x
+    var = np.bincount(group, weights=resid * resid) / (n - 1)
+    return slope, np.sqrt(var / sxx)
+
+
 def slope_through_origin(x, y) -> tuple[float, float]:
     """Least-squares slope of y on x with zero intercept, and its std error."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("need matching 1-d arrays with at least 2 points")
-    sxx = float(x @ x)
-    if sxx <= 0.0:
-        raise IdentifiabilityError("regressor is identically zero")
-    slope = float(x @ y) / sxx
-    resid = y - slope * x
-    var = float(resid @ resid) / (len(x) - 1)
-    return slope, float(np.sqrt(var / sxx))
+    slope, stderr = _group_slopes(np.zeros(len(x), dtype=np.intp), x, y)
+    return float(slope[0]), float(stderr[0])
 
 
 def _numeric_jacobian(residual, x, rel_step=1e-6):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _scalar_or_array
-from .leastsq import FitReport, IdentifiabilityError
+from .leastsq import FitReport, IdentifiabilityError, slope_through_origin
 
 __all__ = [
     "MotorParams",
@@ -100,14 +100,14 @@ def identify_motor(records) -> tuple[MotorParams, FitReport]:
 
     # stage 1: (P_in - P_mech) = I^2 * R
     i_sq = current * current
-    resistance = float(i_sq @ (p_in - p_mech)) / float(i_sq @ i_sq)
+    resistance, _ = slope_through_origin(i_sq, p_in - p_mech)
     res1 = (p_in - p_mech) - resistance * i_sq
     if resistance <= 0.0:
         raise IdentifiabilityError(f"identified resistance is not positive ({resistance:.3g} ohm)")
 
     # stage 2: (V - I*R) = k * omega
     emf = voltage - current * resistance
-    back_emf = float(omega @ emf) / float(omega @ omega)
+    back_emf, _ = slope_through_origin(omega, emf)
     res2 = emf - back_emf * omega
     if back_emf <= 0.0:
         raise IdentifiabilityError(f"identified back-EMF constant is not positive ({back_emf:.3g} V s/rad)")

@@ -186,6 +186,35 @@ class TestPipeline:
         assert run("fit-gamma", "--input", mixed, "--out", gamma_csv, "--params", fit) == 2
         assert not gamma_csv.exists() and not fit.exists()
 
+    @pytest.mark.parametrize("field, value", [("radius", 0.05), ("config_id", "big")])
+    def test_fit_blade_mixed_table_writes_nothing(self, records_file, tmp_path, capsys, field, value):
+        fit, gamma_csv = tmp_path / "fit.json", tmp_path / "gamma.csv"
+        assert run("fit-gamma", "--input", records_file, "--out", gamma_csv, "--params", fit) == 0
+        assert run("fit-ceiling", "--input", gamma_csv, "--params", fit, "--reduced") == 0
+        before = fit.read_bytes()
+        records = read_steady_csv(records_file)
+        records[3] = dataclasses.replace(records[3], **{field: value})
+        mixed = tmp_path / "mixed.csv"
+        write_steady_csv(records, mixed)
+        capsys.readouterr()
+        assert run("fit-blade", "--input", mixed, "--params", fit) == 2
+        assert f"records mix several {field} values" in capsys.readouterr().err
+        assert fit.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '{"schema_version": 1, "geometry": []}', '{"schema_version": 1, "provenance": []}'],
+        ids=["top-level", "geometry", "provenance"],
+    )
+    def test_fit_motor_params_not_an_object(self, records_file, tmp_path, capsys, text):
+        fit = tmp_path / "fit.json"
+        fit.write_text(text + "\n")
+        assert run("fit-motor", "--input", records_file, "--params", fit) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "expected a JSON object" in err
+        assert "Traceback" not in err
+        assert fit.read_text() == text + "\n"
+
     def test_fit_gamma_negative_torque_is_data_error(self, records_file, tmp_path, capsys):
         records = read_steady_csv(records_file)
         records[7] = dataclasses.replace(records[7], torque=-1e-6)

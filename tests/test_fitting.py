@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,39 @@ class TestFitEtaGamma:
         with pytest.warns(UserWarning, match="fewer than 2"):
             eta, points = fit_eta_gamma(records + lone, env)
         assert len(points) == 21
+
+
+    def test_zero_power_group_skipped_with_warning(self, geom_23mm, single_prop_ceiling, bench_motor, env):
+        records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
+        closest = records[0].distance
+        idle = [dataclasses.replace(r, torque=0.0) if r.distance == closest else r for r in records]
+        with pytest.warns(UserWarning, match=re.escape(f"skipping distance {closest} m: non-positive power slope")):
+            eta, points = fit_eta_gamma(idle, env)
+        assert eta == pytest.approx(0.50, rel=1e-6)
+        assert len(points) == 20
+
+
+class TestOneRigRule:
+    """Each slope fit is for one propeller in one configuration."""
+
+    FITS = {
+        "fit_eta_gamma": lambda records, env: fit_eta_gamma(records, env),
+        "flight_coefficient_points": lambda records, env: flight_coefficient_points(records),
+    }
+
+    @pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
+    def test_mixed_radii_rejected(self, fit, geom_23mm, geom_50mm, single_prop_ceiling, bench_motor, env):
+        small = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
+        large = synth(geom_50mm, single_prop_ceiling, bench_motor, env, config_id="big")
+        with pytest.raises(ValueError, match=re.escape("several radius values: [0.023, 0.05]")):
+            fit(small + large, env)
+
+    @pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
+    def test_mixed_configurations_rejected(self, fit, geom_23mm, single_prop_ceiling, bench_motor, env):
+        records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
+        records[-1] = dataclasses.replace(records[-1], config_id="big")
+        with pytest.raises(ValueError, match=re.escape("several config_id values: ['big', 'synth']")):
+            fit(records, env)
 
 
 class TestFitCeilingParams:

@@ -461,6 +461,15 @@ class TestSteadyStateExtract:
             make_stream(time, ["a"] * n, constant_channels(n))
 
 
+@pytest.mark.parametrize("reader, header, row", READERS.values(), ids=READERS)
+def test_repeated_column_named(tmp_path, reader, header, row):
+    repeated = header.split(",")[1]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header},{repeated}\n{row},{row.split(',')[1]}\n")
+    with pytest.raises(DataFormatError, match=f"repeated column: {repeated}$"):
+        reader(path)
+
+
 class TestRawCsv:
     def test_read_and_extract(self, tmp_path):
         n = 2500
@@ -742,6 +751,21 @@ class TestParamFiles:
             write_params(ParamSet(geometry=geom_23mm, ceiling=CeilingParams(2.0)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[]", "top level"),
+            ('{"schema_version": 1, "geometry": []}', "geometry"),
+            ('{"schema_version": 1, "provenance": []}', "provenance"),
+            ('{"schema_version": 1, "geometry": null}', "geometry"),
+        ],
+    )
+    def test_section_not_an_object_named(self, tmp_path, text, key):
+        path = tmp_path / "fit.json"
+        path.write_text(text + "\n")
+        with pytest.raises(DataFormatError, match=f"{key}: expected a JSON object"):
+            read_params(path)
 
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "fit.json"

@@ -1,8 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceilprop import gauss_newton, grid_oracle, slope_through_origin
-from ceilprop.leastsq import IdentifiabilityError
+from ceilprop.leastsq import IdentifiabilityError, _group_slopes
+
+# magnitudes whose squares neither underflow nor overflow
+REGRESSOR = st.floats(0.01, 100.0) | st.floats(-100.0, -0.01)
+RESPONSE = st.floats(1e-6, 100.0) | st.floats(-100.0, -1e-6) | st.just(0.0)
+GROUPS = st.lists(st.lists(st.tuples(REGRESSOR, RESPONSE), min_size=2, max_size=8), min_size=1, max_size=6)
+
+
+def reference_slope(x, y):
+    # one group on its own: the slope by lstsq, the std error by exactly rounded sums
+    (slope,), *_ = np.linalg.lstsq(x[:, None], y, rcond=None)
+    resid = (y - slope * x).tolist()
+    var = math.fsum(r * r for r in resid) / (len(x) - 1)
+    return float(slope), math.sqrt(var / math.fsum(v * v for v in x.tolist()))
 
 
 class TestSlopeThroughOrigin:
@@ -27,6 +44,37 @@ class TestSlopeThroughOrigin:
     def test_zero_regressor_rejected(self):
         with pytest.raises(IdentifiabilityError):
             slope_through_origin([0.0, 0.0], [1.0, 2.0])
+
+
+class TestGroupSlopes:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(GROUPS)
+    def test_matches_per_group_reference(self, groups):
+        group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        x, y = np.array([p for g in groups for p in g]).T
+        order = np.random.default_rng(len(x)).permutation(len(x))  # groups interleaved
+        slope, stderr = _group_slopes(group[order], x[order], y[order])
+        for k in range(len(groups)):
+            ref_slope, ref_stderr = reference_slope(x[group == k], y[group == k])
+            # rounding in a residual is relative to y, not to the residual, so
+            # the floor is 1e-12 of the slope the data's own scale gives
+            scale = math.sqrt(math.fsum(y[group == k] ** 2) / math.fsum(x[group == k] ** 2))
+            assert slope[k] == pytest.approx(ref_slope, rel=1e-12, abs=1e-12 * scale)
+            assert stderr[k] == pytest.approx(ref_stderr, rel=1e-12, abs=1e-12 * scale)
+
+    def test_small_ripple_on_a_large_level(self):
+        # sum(y*y) - slope*sum(x*y) loses every digit of this variance
+        x = np.linspace(999.0, 1001.0, 40)
+        y = 3.0 * x * (1.0 + 1e-9 * np.random.default_rng(5).standard_normal(len(x)))
+        slope, stderr = _group_slopes(np.zeros(len(x), dtype=np.intp), x, y)
+        ref_slope, ref_stderr = reference_slope(x, y)
+        assert slope[0] == pytest.approx(ref_slope, rel=1e-12)
+        assert stderr[0] == pytest.approx(ref_stderr, rel=1e-6)
+        assert stderr[0] > 0.0
+
+    def test_zero_regressor_group_rejected(self):
+        with pytest.raises(IdentifiabilityError):
+            _group_slopes(np.array([0, 0, 1, 1]), np.array([1.0, 2.0, 0.0, 0.0]), np.ones(4))
 
 
 class TestGaussNewton:
