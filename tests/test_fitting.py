@@ -195,7 +195,6 @@ class TestFitEtaGamma:
             eta, points = fit_eta_gamma(records + lone, env)
         assert len(points) == 21
 
-
     def test_zero_power_group_skipped_with_warning(self, geom_23mm, single_prop_ceiling, bench_motor, env):
         records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
         closest = records[0].distance
