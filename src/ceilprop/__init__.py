@@ -40,6 +40,7 @@ from .core import (
 from .fitting import (
     GammaPoint,
     SteadyRecord,
+    SteadyTable,
     fit_blade_coefficients,
     fit_ceiling_params,
     fit_eta_gamma,
@@ -109,6 +110,7 @@ __all__ = [
     "grid_oracle",
     # fitting pipeline
     "SteadyRecord",
+    "SteadyTable",
     "GammaPoint",
     "fit_eta_gamma",
     "fit_ceiling_params",

@@ -17,7 +17,6 @@ The pipeline mirrors how the bench data is reduced:
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -32,6 +31,7 @@ from .motor import MotorParams, mechanical_power_from_motor, mechanical_power_fr
 
 __all__ = [
     "SteadyRecord",
+    "SteadyTable",
     "GammaPoint",
     "fit_eta_gamma",
     "fit_ceiling_params",
@@ -67,21 +67,151 @@ class SteadyRecord:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.distance) and self.distance > 0.0):
-            raise ValueError(f"distance must be positive, got {self.distance}")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        for name in ("voltage", "current", "thrust", "torque"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.thrust < 0.0:
-            raise ValueError(f"thrust must be >= 0, got {self.thrust}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.prop_count < 1:
-            raise ValueError(f"prop_count must be >= 1, got {self.prop_count}")
+        _check_steady({name: (getattr(self, name),) for name in _FIELDS})
         object.__setattr__(self, "delta", self.radius / self.distance)
+
+
+_FIELDS = tuple(f.name for f in fields(SteadyRecord) if f.init)
+
+
+class _RowError(ValueError):
+    """A value SteadyRecord rejects; row is its index in the columns checked."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _check_steady(columns) -> None:
+    # raise _RowError for the first value SteadyRecord rejects in columns (one
+    # sequence per field, torque None where not measured), first in row order,
+    # then in field order, with the value shown as given
+    def floats(name):
+        return np.asarray(columns[name], dtype=float)  # None reads nan
+
+    def positive(name):
+        values = floats(name)
+        return np.isfinite(values) & (values > 0.0)
+
+    torque = columns["torque"]
+    # an array holds no None
+    measured = isinstance(torque, np.ndarray) or np.array([v is not None for v in torque], dtype=bool)
+    checks = [
+        ("distance", "must be positive", ~positive("distance")),
+        ("radius", "must be positive", ~positive("radius")),
+        *((name, "must be finite", ~np.isfinite(floats(name))) for name in ("voltage", "current", "thrust")),
+        ("torque", "must be finite", ~np.isfinite(floats("torque")) & measured),
+        ("thrust", "must be >= 0", floats("thrust") < 0.0),
+        ("omega", "must be positive", ~positive("omega")),
+        ("prop_count", "must be >= 1", floats("prop_count") < 1.0),
+    ]
+    bad = np.stack([mask for *_, mask in checks])
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size:
+        i = int(rows[0])
+        name, rule, _ = checks[int(np.argmax(bad[:, i]))]
+        value = columns[name][i]
+        raise _RowError(i, f"{name} {rule}, got {value.item() if isinstance(value, np.generic) else value}")
+
+
+class SteadyTable:
+    """Steady records held as columns, one per SteadyRecord field, that
+    behaves as a list of SteadyRecord.
+
+    Every column is a numpy array of float, torque with nan where it was not
+    measured, except prop_count, an object array of the counts as given, and
+    config_id and setpoint, lists of str.  The constructor takes one sequence
+    per field, in SteadyRecord's order, with None for a torque not measured,
+    and checks them as SteadyRecord checks one record: of several bad values,
+    the first in row order, then in field order, raises SteadyRecord's
+    ValueError.
+
+    len(t) and iteration behave as for a list; t[i] is a SteadyRecord with
+    plain float, int and str fields, t[a:b] and t + records (or records + t)
+    are tables, t[i] = record writes a row, and t == records compares row by
+    row with a table or a list.
+    """
+
+    __slots__ = _FIELDS
+
+    def __init__(
+        self, config_id, radius, prop_count, spacing, distance, setpoint, voltage, current, thrust, torque, omega
+    ):
+        args = locals()
+        given = {name: args[name] for name in _FIELDS}
+        if len({len(column) for column in given.values()}) > 1:
+            raise ValueError("steady columns differ in length")
+        _check_steady(given)
+        for name, column in given.items():
+            if name in ("config_id", "setpoint"):
+                column = column.tolist() if isinstance(column, np.ndarray) else list(column)
+            else:
+                column = np.array(column, dtype=object if name == "prop_count" else float)
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, records) -> SteadyTable:
+        """records as a table: a table as it is, any other iterable of SteadyRecord transposed once."""
+        return records if isinstance(records, cls) else cls(*_columns(SteadyRecord, records))
+
+    @classmethod
+    def _wrap(cls, columns) -> SteadyTable:
+        # a table holding columns (a field name: column map, in field order) as they are, unchecked
+        table = object.__new__(cls)
+        for name, column in columns.items():
+            setattr(table, name, column)
+        return table
+
+    @property
+    def columns(self) -> dict:
+        """The columns themselves, by field name in SteadyRecord's order."""
+        return {name: getattr(self, name) for name in _FIELDS}
+
+    def __len__(self) -> int:
+        return len(self.config_id)
+
+    def __iter__(self):
+        columns = {name: c if isinstance(c, list) else c.tolist() for name, c in self.columns.items()}
+        columns["torque"] = [None if math.isnan(v) else v for v in columns["torque"]]
+        with np.errstate(over="ignore"):  # as float division, which gives inf
+            delta = (self.radius / self.distance).tolist()
+        for values in zip(*columns.values(), delta):
+            record = object.__new__(SteadyRecord)  # from checked columns, so not checked again
+            vars(record).update(zip(_FIELDS + ("delta",), values))
+            yield record
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):  # a copy, as a list slice is
+            part = {name: c[index] if isinstance(c, list) else c[index].copy() for name, c in self.columns.items()}
+            return SteadyTable._wrap(part)
+        i = range(len(self))[index]
+        return next(iter(self[i : i + 1]))
+
+    def __setitem__(self, index, record) -> None:
+        if not isinstance(record, SteadyRecord):
+            raise TypeError(f"a SteadyTable row must be a SteadyRecord, got {type(record).__name__}")
+        i = range(len(self))[index]
+        for name, column in self.columns.items():
+            value = getattr(record, name)
+            column[i] = math.nan if value is None else value
+
+    def __add__(self, other):
+        if not isinstance(other, (SteadyTable, list, tuple)):
+            return NotImplemented
+        pairs = zip(self.columns.items(), SteadyTable.of(other).columns.values())
+        joined = {name: a + b if isinstance(a, list) else np.concatenate([a, b]) for (name, a), b in pairs}
+        return SteadyTable._wrap(joined)
+
+    def __radd__(self, other):
+        return SteadyTable.of(other) + self if isinstance(other, (list, tuple)) else NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, SteadyTable):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass(frozen=True)
@@ -110,22 +240,27 @@ def _columns(cls, objects):
     return list(zip(*map(attrgetter(*names), objects))) or [()] * len(names)
 
 
+def _one_rig(records) -> SteadyTable:
+    # records as a table; ValueError if they mix radius or config_id values
+    table = SteadyTable.of(records)
+    for name, distinct in (("radius", np.unique(table.radius).tolist()), ("config_id", sorted(set(table.config_id)))):
+        if len(distinct) > 1:
+            raise ValueError(f"records mix several {name} values: {distinct}")
+    return table
+
+
 def _distance_groups(records):
     # one propeller's records (ValueError if they mix radius or config_id) as
     # (float columns, group index of each record, distance and gap ratio of
     # each group by increasing distance); torque reads nan where not measured,
     # and groups of fewer than 2 records are dropped with a warning
-    config_id, radius, _, _, distance, _, *values = _columns(SteadyRecord, records)
-    for name, column in (("radius", radius), ("config_id", config_id)):
-        if len(set(column)) > 1:
-            raise ValueError(f"records mix several {name} values: {sorted(set(column))}")
-    names = ("radius", "distance", "voltage", "current", "thrust", "torque", "omega")
-    columns = {name: np.array(column, dtype=float) for name, column in zip(names, (radius, distance, *values))}
-    _, group, counts = np.unique(columns["distance"], return_inverse=True, return_counts=True)
+    table = _one_rig(records)
+    _, group, counts = np.unique(table.distance, return_inverse=True, return_counts=True)
     keep = counts[group] >= 2
-    for lone in np.sort(columns["distance"][~keep]).tolist():
+    for lone in np.sort(table.distance[~keep]).tolist():
         warnings.warn(f"skipping distance {lone} m: fewer than 2 setpoints")
-    columns = {name: column[keep] for name, column in columns.items()}
+    names = ("radius", "distance", "voltage", "current", "thrust", "torque", "omega")
+    columns = {name: getattr(table, name)[keep] for name in names}
     distance, group = np.unique(columns["distance"], return_inverse=True)
     delta = np.empty(len(distance))
     delta[group] = columns["radius"] / columns["distance"]
@@ -331,7 +466,7 @@ def synthesize_dataset(
     config_id: str = "synth",
     prop_count: int = 1,
     spacing: float = 0.0,
-) -> list[SteadyRecord]:
+) -> SteadyTable:
     """Generate steady records from a known model (inverse of the fit pipeline).
 
     For each (distance, setpoint) pair the commanded rotation rate is the
@@ -340,7 +475,8 @@ def synthesize_dataset(
     channels from the motor model.  Multiplicative Gaussian noise with the
     given relative sigma is applied per channel (scalar, or a mapping over
     "voltage", "current", "thrust", "torque", "omega").  Output is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed: one row per (distance, setpoint) pair,
+    distances outermost.
     """
     distances = np.asarray(distances, dtype=float)
     setpoints = np.asarray(setpoints, dtype=float)
@@ -363,15 +499,13 @@ def synthesize_dataset(
     values = np.stack([voltage, current, thrust, torque, omega], axis=-1).reshape(-1, len(NOISE_CHANNELS))
     if np.any(sigmas > 0.0):
         values = values * (1.0 + sigmas * np.random.default_rng(seed).standard_normal(values.shape))
-    return [
-        SteadyRecord(
-            config_id=config_id,
-            radius=geometry.radius,
-            prop_count=prop_count,
-            spacing=spacing,
-            distance=distance,
-            setpoint=f"sp{idx:02d}",
-            **dict(zip(NOISE_CHANNELS, row)),
-        )
-        for (distance, idx), row in zip(itertools.product(distances.tolist(), range(len(setpoints))), values.tolist())
-    ]
+    n = len(values)
+    return SteadyTable(
+        [config_id] * n,
+        np.full(n, geometry.radius),
+        [prop_count] * n,
+        np.full(n, spacing),
+        np.repeat(distances, len(setpoints)),
+        [f"sp{idx:02d}" for idx in range(len(setpoints))] * len(distances),
+        *values.T,
+    )

@@ -28,6 +28,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import stat
@@ -39,7 +40,7 @@ import numpy as np
 
 from .bemt import PropellerGeometry
 from .core import CeilingParams
-from .fitting import GammaPoint, SteadyRecord, _columns
+from .fitting import GammaPoint, SteadyTable, _columns, _RowError
 from .motor import MotorParams
 
 __all__ = [
@@ -320,11 +321,11 @@ def _quote(cell) -> str:
 
 
 def _cells(kind, block):
-    # one block of one column as str cells: floats in shortest round-trip form, None as an empty cell
+    # one block of one column as str cells: floats in shortest round-trip form, nan as an empty cell
     if kind == FLOAT:
         return map(repr, np.asarray(block, dtype=float).tolist())
     if kind == FLOAT_OR_EMPTY:
-        return ["" if v is None else repr(float(v)) for v in block]
+        return ["" if math.isnan(v) else repr(v) for v in np.asarray(block, dtype=float).tolist()]
     return map(str if kind == INT else _quote, block)
 
 
@@ -357,12 +358,12 @@ def _records(cls, path, columns, numbers, fault=None) -> list:
 
 
 def write_steady_csv(records, path) -> None:
-    """Write steady records to CSV; lossless against read_steady_csv."""
-    _write_table(path, STEADY_SPEC, _columns(SteadyRecord, records))
+    """Write steady records (a SteadyTable or SteadyRecords) to CSV; lossless against read_steady_csv."""
+    _write_table(path, STEADY_SPEC, SteadyTable.of(records).columns.values())
 
 
-def read_steady_csv(path) -> list[SteadyRecord]:
-    """Read steady records; raises DataFormatError naming the first bad row.
+def read_steady_csv(path) -> SteadyTable:
+    """Read steady records as a SteadyTable; raises DataFormatError naming the first bad row.
 
     Rows are checked in file order; within a row, a cell that does not parse
     is named before a distance that is not positive, and that before a value
@@ -375,7 +376,13 @@ def read_steady_csv(path) -> list[SteadyRecord]:
         i = bad[0]
         columns = {name: cells[:i] for name, cells in columns.items()}
         fault = DataFormatError(f"{path}: row {numbers[i]}, column distance_m: must be positive")
-    return _records(SteadyRecord, path, columns, numbers, fault)
+    try:
+        table = SteadyTable(*columns.values())  # the spec lists its columns in SteadyRecord's field order
+    except _RowError as exc:
+        raise DataFormatError(f"{path}: row {numbers[exc.row]}: {exc}") from None
+    if fault is not None:
+        raise fault
+    return table
 
 
 def write_gamma_csv(points, path) -> None:
@@ -488,8 +495,8 @@ def _moving_stats(values: np.ndarray, width: int):
     return mean + offset, np.sqrt(np.maximum(var, 0.0))
 
 
-def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability_tol: float = 0.05) -> list[SteadyRecord]:
-    """Average the last steady window of each setpoint into one record.
+def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability_tol: float = 0.05) -> SteadyTable:
+    """Average the last steady window of each setpoint into one record of a SteadyTable.
 
     A window is steady when every channel satisfies std/|mean| below
     stability_tol.  Setpoints with no steady window are skipped with a
@@ -512,12 +519,12 @@ def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability
     if stream.torque is not None:
         channels["torque"] = stream.torque
 
-    records = []
     # contiguous runs of one setpoint label are treated as one segment
     labels = np.asarray(stream.setpoint)
     boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
     starts = np.concatenate([[0], boundaries])
     stops = np.concatenate([boundaries, [len(labels)]])
+    kept, windows = [], []  # label and window start of each segment with a steady window
     for seg_start, seg_stop in zip(starts, stops):
         label = str(labels[seg_start])
         n = seg_stop - seg_start
@@ -531,24 +538,26 @@ def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability
         if not np.any(steady):
             warnings.warn(f"setpoint {label}: no steady window found; skipped")
             continue
-        last = int(np.flatnonzero(steady)[-1]) + seg_start
-        sl = slice(last, last + width)
-        records.append(
-            SteadyRecord(
-                config_id=stream.config_id,
-                radius=stream.radius,
-                prop_count=stream.prop_count,
-                spacing=stream.spacing,
-                distance=stream.distance,
-                setpoint=label,
-                voltage=float(np.mean(stream.voltage[sl])),
-                current=float(np.mean(stream.current[sl])),
-                thrust=float(np.mean(stream.thrust[sl])),
-                torque=None if stream.torque is None else float(np.mean(stream.torque[sl])),
-                omega=float(np.mean(stream.omega[sl])),
-            )
-        )
-    return records
+        kept.append(label)
+        windows.append(int(np.flatnonzero(steady)[-1]) + seg_start)
+
+    def means(values):
+        return np.array([np.mean(values[start : start + width]) for start in windows])
+
+    n = len(kept)
+    return SteadyTable(
+        [stream.config_id] * n,
+        np.full(n, stream.radius),
+        [stream.prop_count] * n,
+        np.full(n, stream.spacing),
+        np.full(n, stream.distance),
+        kept,
+        means(stream.voltage),
+        means(stream.current),
+        means(stream.thrust),
+        [None] * n if stream.torque is None else means(stream.torque),
+        means(stream.omega),
+    )
 
 
 @dataclass

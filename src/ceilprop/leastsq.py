@@ -56,10 +56,10 @@ def slope_through_origin(x, y) -> tuple[float, float]:
     return float(slope[0]), float(stderr[0])
 
 
-def _numeric_jacobian(residual, x, rel_step=1e-6):
-    # central differences with a unit floor on the relative step
-    r0 = residual(x)
-    jac = np.empty((len(r0), len(x)))
+def _numeric_jacobian(residual, x, n_obs, rel_step=1e-6):
+    # central differences of the n_obs residuals with a unit floor on the
+    # relative step: 2 residual calls per parameter
+    jac = np.empty((n_obs, len(x)))
     for j in range(len(x)):
         h = rel_step * max(abs(x[j]), 1.0)
         xp = x.copy()
@@ -101,7 +101,7 @@ def gauss_newton(
     iterations = 0
     jac = None
     for iterations in range(1, max_iter + 1):
-        jac = _numeric_jacobian(residual, x)
+        jac = _numeric_jacobian(residual, x, len(r))
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         lam = 1.0
         accepted = False

@@ -77,19 +77,20 @@ def identify_motor(records) -> tuple[MotorParams, FitReport]:
          power computed from measured torque;
       2. back-EMF constant from voltage = I * R + k * omega.
 
-    records need voltage, current, torque, and omega fields.  Raises
-    IdentifiabilityError for fewer than 2 records or degenerate data (all
-    currents equal, or all rotation rates equal).
+    records are a SteadyTable or SteadyRecords of one propeller in one
+    configuration: records that mix radius or config_id raise ValueError.
+    Raises IdentifiabilityError for fewer than 2 records, a record without
+    torque, or degenerate data (all currents equal, or all rotation rates
+    equal).
     """
-    rows = list(records)
-    if len(rows) < 2:
+    from .fitting import _one_rig  # fitting imports this module
+
+    table = _one_rig(records)
+    if len(table) < 2:
         raise IdentifiabilityError("need at least 2 records to identify the motor")
-    if any(r.torque is None for r in rows):
+    current, voltage, torque, omega = table.current, table.voltage, table.torque, table.omega
+    if np.isnan(torque).any():
         raise IdentifiabilityError("motor identification needs torque on every record")
-    current = np.array([r.current for r in rows])
-    voltage = np.array([r.voltage for r in rows])
-    torque = np.array([r.torque for r in rows])
-    omega = np.array([r.omega for r in rows])
     if np.ptp(current) <= 1e-12 * max(1.0, float(np.max(np.abs(current)))):
         raise IdentifiabilityError("all currents are equal; resistance is not identifiable")
     if np.ptp(omega) <= 1e-12 * max(1.0, float(np.max(np.abs(omega)))):
@@ -112,7 +113,7 @@ def identify_motor(records) -> tuple[MotorParams, FitReport]:
     if back_emf <= 0.0:
         raise IdentifiabilityError(f"identified back-EMF constant is not positive ({back_emf:.3g} V s/rad)")
 
-    n = len(rows)
+    n = len(table)
     report = FitReport(
         parameters={
             "resistance": resistance,

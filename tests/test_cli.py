@@ -368,3 +368,22 @@ class TestExtract:
         records = read_steady_csv(out)
         assert [r.setpoint for r in records] == ["a", "b"]
         assert records[1].thrust == pytest.approx(0.08)
+
+
+class TestFitMotorOneRig:
+    def test_mixed_rigs_exit_2_and_keep_the_parameter_file(
+        self, records_file, tmp_path, capsys, geom_50mm, single_prop_ceiling, env
+    ):
+        fit = tmp_path / "fit.json"
+        assert run("fit-motor", "--input", records_file, "--params", fit) == 0
+        before = fit.read_bytes()
+        large = ceilprop.synthesize_dataset(
+            geom_50mm, single_prop_ceiling, ceilprop.MotorParams(resistance=0.5, back_emf=3e-3),
+            [0.01, 1.0], [900.0, 2000.0, 2800.0], env=env, config_id="big",
+        )
+        mixed = tmp_path / "mixed.csv"
+        write_steady_csv(read_steady_csv(records_file) + large, mixed)
+        capsys.readouterr()
+        assert run("fit-motor", "--input", mixed, "--params", fit) == 2
+        assert "records mix several radius values: [0.023, 0.05]" in capsys.readouterr().err
+        assert fit.read_bytes() == before

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceilprop import gauss_newton, grid_oracle, slope_through_origin
-from ceilprop.leastsq import IdentifiabilityError, _group_slopes
+from ceilprop.leastsq import IdentifiabilityError, _group_slopes, _numeric_jacobian
 
 # magnitudes whose squares neither underflow nor overflow
 REGRESSOR = st.floats(0.01, 100.0) | st.floats(-100.0, -0.01)
@@ -160,3 +160,19 @@ class TestGridOracle:
     def test_too_many_axes_rejected(self):
         with pytest.raises(ValueError):
             grid_oracle(lambda p: 0.0, bounds=[(0.0, 1.0)] * 4)
+
+
+class TestNumericJacobian:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_two_residual_calls_per_parameter(self, k):
+        calls = []
+        matrix = np.arange(1.0, 4.0 * k + 1.0).reshape(4, k)
+
+        def residual(x):
+            calls.append(x.copy())
+            return matrix @ x - 1.0
+
+        x = np.linspace(0.5, 2.0, k)
+        jac = _numeric_jacobian(residual, x, 4)
+        assert len(calls) == 2 * k
+        np.testing.assert_allclose(jac, matrix, rtol=1e-7)  # a 1e-6 step on residuals of about 30

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from ceilprop import (
     input_power_from_mechanical,
     mechanical_power_from_motor,
     mechanical_power_from_torque,
+    synthesize_dataset,
 )
 
 
@@ -154,3 +158,22 @@ class TestParams:
         PowerBreakdown(input_power=1.0, mechanical_power=0.7, aerodynamic_power=0.35)
         with pytest.raises(ValueError):
             PowerBreakdown(input_power=0.5, mechanical_power=0.7, aerodynamic_power=0.35)
+
+
+class TestIdentifyMotorOneRig:
+    def test_mixed_radii_rejected(self, geom_23mm, geom_50mm, single_prop_ceiling, bench_motor, env):
+        small = synthesize_dataset(geom_23mm, single_prop_ceiling, bench_motor, [0.01, 1.0], [900.0, 2000.0], env=env)
+        large = synthesize_dataset(
+            geom_50mm, single_prop_ceiling, MotorParams(resistance=0.5, back_emf=3e-3), [0.01, 1.0], [900.0, 2000.0],
+            env=env, config_id="big",
+        )
+        with pytest.raises(ValueError, match=re.escape("records mix several radius values: [0.023, 0.05]")):
+            identify_motor(small + large)
+        with pytest.raises(ValueError, match=re.escape("records mix several radius values: [0.023, 0.05]")):
+            identify_motor(list(small) + list(large))
+
+    def test_mixed_configurations_rejected(self, bench_motor):
+        records = synth_motor_records(bench_motor, np.linspace(800.0, 3000.0, 6))
+        records[2] = dataclasses.replace(records[2], config_id="other")
+        with pytest.raises(ValueError, match=re.escape("records mix several config_id values: ['bench', 'other']")):
+            identify_motor(records)

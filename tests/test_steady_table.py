@@ -1,0 +1,222 @@
+"""SteadyTable: the columnar form of steady records, and its list contract."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ceilprop import (
+    Environment,
+    RawSampleStream,
+    SteadyRecord,
+    SteadyTable,
+    fit_eta_gamma,
+    flight_coefficient_points,
+    identify_motor,
+    read_steady_csv,
+    steady_state_extract,
+    synthesize_dataset,
+    write_steady_csv,
+)
+
+FIELDS = [f.name for f in dataclasses.fields(SteadyRecord) if f.init]
+FLOAT_FIELDS = ("radius", "spacing", "distance", "voltage", "current", "thrust", "omega")
+# for each checked field, values SteadyRecord rejects
+BAD_VALUES = {
+    "distance": [0.0, -1.0, math.nan, math.inf],
+    "radius": [0.0, -0.5, math.nan, -math.inf],
+    "voltage": [math.nan, math.inf, -math.inf],
+    "current": [math.nan, -math.inf],
+    "thrust": [-1e-6, math.nan, math.inf],
+    "torque": [math.nan, math.inf, -math.inf],
+    "omega": [0.0, -2000.0, math.nan, math.inf],
+    "prop_count": [0, -3],
+}
+
+
+@pytest.fixture
+def table(geom_23mm, single_prop_ceiling, bench_motor, env):
+    return synthesize_dataset(
+        geom_23mm, single_prop_ceiling, bench_motor,
+        distances=[0.002, 0.005, 0.01, 0.05, 1.0], setpoints=np.linspace(800.0, 3000.0, 4),
+        env=env, noise=0.01, seed=3,
+    )
+
+
+def first_record_error(rows):
+    for row in rows:
+        try:
+            SteadyRecord(*row)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@st.composite
+def corrupted_columns(draw):
+    n = draw(st.integers(1, 6))
+    positive = st.floats(1e-3, 1e3)
+    rows = [
+        [
+            draw(st.sampled_from(["a", "bb", ""])), draw(positive), draw(st.integers(1, 4)), draw(st.floats(-1.0, 1.0)),
+            draw(positive), draw(st.sampled_from(["s0", "s1"])), draw(st.floats(-10.0, 10.0)),
+            draw(st.floats(-10.0, 10.0)), draw(st.floats(0.0, 1.0)), draw(st.none() | st.floats(0.0, 1.0)),
+            draw(positive),
+        ]
+        for _ in range(n)
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(BAD_VALUES)))
+        rows[draw(st.integers(0, n - 1))][FIELDS.index(name)] = draw(st.sampled_from(BAD_VALUES[name]))
+    return rows, draw(st.booleans())
+
+
+class TestValidation:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(corrupted_columns())
+    def test_same_error_as_first_bad_record(self, case):
+        rows, as_arrays = case
+        columns = [list(column) for column in zip(*rows)]
+        if as_arrays:  # the number columns as arrays where they hold no None
+            columns = [
+                np.array(c) if name != "config_id" and name != "setpoint" and None not in c else c
+                for name, c in zip(FIELDS, columns)
+            ]
+        expected = first_record_error(rows)
+        assert expected is not None
+        with pytest.raises(ValueError) as raised:
+            SteadyTable(*columns)
+        assert str(raised.value) == expected
+
+    def test_unmeasured_torque_passes(self):
+        table = SteadyTable(["c"], [0.023], [1], [0.0], [0.01], ["s"], [3.0], [1.0], [0.05], [None], [2000.0])
+        assert np.isnan(table.torque).all() and table[0].torque is None
+
+    def test_columns_of_different_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            SteadyTable(["c"], [0.023], [1], [0.0], [0.01], ["s"], [3.0], [1.0], [0.05], [None], [2000.0, 1.0])
+
+
+class TestSequenceContract:
+    def test_of_transposes_records_and_passes_a_table(self, table):
+        assert SteadyTable.of(table) is table
+        again = SteadyTable.of(list(table))
+        assert isinstance(again, SteadyTable) and again == table
+        assert SteadyTable.of(iter(table)) == table
+
+    def test_len_iteration_and_negative_index(self, table):
+        rows = list(table)
+        assert len(table) == len(rows) == 20
+        assert table[-1] == rows[-1] and table[7] == rows[7]
+        with pytest.raises(IndexError):
+            table[20]
+
+    def test_slices_are_tables_and_copies(self, table):
+        rows = list(table)
+        for part, want in ((table[3:9], rows[3:9]), (table[::3], rows[::3]), (table[-4:], rows[-4:])):
+            assert isinstance(part, SteadyTable) and part == want
+        part = table[:2]
+        part[0] = dataclasses.replace(part[0], thrust=9.0)
+        assert table[0].thrust != 9.0
+
+    def test_concatenation(self, table):
+        rows = list(table)
+        for joined in (table[:5] + rows[5:], rows[:5] + table[5:], table[:5] + table[5:], table[:5] + tuple(rows[5:])):
+            assert isinstance(joined, SteadyTable) and joined == table
+        with pytest.raises(TypeError):
+            table + 1
+
+    def test_item_assignment_writes_the_row(self, table):
+        row = dataclasses.replace(table[4], torque=None, setpoint="new", prop_count=2)
+        table[-16] = row
+        assert table[4] == row and np.isnan(table.torque[4]) and table.prop_count[4] == 2
+        with pytest.raises(TypeError):
+            table[0] = tuple(row)
+
+    def test_longer_config_id_survives_assignment(self, table, tmp_path):
+        label = "a configuration label longer than any before"
+        table[0] = dataclasses.replace(table[0], config_id=label, setpoint="set point " * 4)
+        assert table[0].config_id == label and table[0].setpoint == "set point " * 4
+        path = tmp_path / "steady.csv"
+        write_steady_csv(table, path)
+        assert read_steady_csv(path)[0].config_id == label
+
+    def test_equality_and_repr_are_a_lists(self, table):
+        rows = list(table)
+        assert table == rows and rows == table and not table != rows
+        assert table != rows[:-1] and table != table[1:]
+        assert SteadyTable.of([]) == [] and table[:0] == [] and len(table[:0]) == 0
+        assert repr(table[:2]) == repr(rows[:2])
+        assert table.__eq__(5) is NotImplemented
+
+
+def assert_plain_fields(records):
+    for record in records:
+        for name in FLOAT_FIELDS:
+            assert type(getattr(record, name)) is float, name
+        assert type(record.prop_count) is int and type(record.delta) is float
+        assert type(record.config_id) is str and type(record.setpoint) is str
+        assert record.torque is None or type(record.torque) is float
+        assert "np." not in repr(record)
+
+
+def raw_stream(table, distance):
+    # each setpoint of table at distance held for 3 s at 200 Hz, with a small ripple
+    rows = [r for r in table if r.distance == distance]
+    n = 600
+    ripple = 1.0 + 1e-4 * np.sin(np.arange(n))
+    channels = {
+        name: np.concatenate([np.full(n, getattr(r, name)) * ripple for r in rows])
+        for name in ("voltage", "current", "thrust", "torque", "omega")
+    }
+    return RawSampleStream(
+        time=np.arange(n * len(rows)) / 200.0,
+        setpoint=np.repeat([r.setpoint for r in rows], n),
+        radius=rows[0].radius,
+        distance=distance,
+        config_id=rows[0].config_id,
+        **channels,
+    )
+
+
+class TestProducers:
+    @pytest.fixture
+    def tables(self, table, tmp_path):
+        # one table from each producer: synth, the steady reader's two paths, and the extractor
+        path, blank = tmp_path / "steady.csv", tmp_path / "torqueless.csv"
+        write_steady_csv(table, path)
+        write_steady_csv([dataclasses.replace(r, torque=None) for r in table], blank)  # read by the csv path
+        extracted = SteadyTable.of([])
+        for distance in np.unique(table.distance).tolist():
+            extracted = extracted + steady_state_extract(raw_stream(table, distance))
+        read, torqueless = read_steady_csv(path), read_steady_csv(blank)
+        return {"synth": table, "read": read, "read-torqueless": torqueless, "extract": extracted}
+
+    def test_every_producer_gives_a_table_of_plain_records(self, tables):
+        for name, produced in tables.items():
+            assert isinstance(produced, SteadyTable), name
+            assert len(produced) == 20, name
+            assert_plain_fields(produced)
+            assert produced[3] == list(produced)[3]
+        assert tables["read"] == tables["synth"]
+
+    def test_fits_are_bit_identical_given_a_table_or_its_records(self, tables, bench_motor):
+        env = Environment(air_density=1.2)
+        for name, produced in tables.items():
+            rows = list(produced)
+            eta_gamma = fit_eta_gamma(produced, env, bench_motor)  # the motor is used only where torque is missing
+            assert repr(eta_gamma) == repr(fit_eta_gamma(rows, env, bench_motor)), name
+            assert repr(flight_coefficient_points(produced)) == repr(flight_coefficient_points(rows)), name
+            if name != "read-torqueless":
+                assert repr(identify_motor(produced)) == repr(identify_motor(rows)), name
+
+    def test_torqueless_table_writes_empty_cells(self, tables, tmp_path):
+        path, from_rows = tmp_path / "table.csv", tmp_path / "rows.csv"
+        write_steady_csv(tables["read-torqueless"], path)
+        write_steady_csv(list(tables["read-torqueless"]), from_rows)
+        text = path.read_text()
+        assert path.read_bytes() == from_rows.read_bytes()
+        assert "nan" not in text and all(line.split(",")[9] == "" for line in text.splitlines()[1:])
