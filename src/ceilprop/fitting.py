@@ -67,7 +67,7 @@ class SteadyRecord:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        _check_steady({name: (getattr(self, name),) for name in _FIELDS})
+        _check_steady({name: (getattr(self, name),) for name, _ in _CHECKS})
         object.__setattr__(self, "delta", self.radius / self.distance)
 
 
@@ -82,34 +82,34 @@ class _RowError(ValueError):
         self.row = row
 
 
+# (field, rule) in the order SteadyRecord checks them
+_CHECKS = (
+    ("distance", "must be positive"),
+    ("radius", "must be positive"),
+    ("voltage", "must be finite"),
+    ("current", "must be finite"),
+    ("thrust", "must be finite"),
+    ("torque", "must be finite"),
+    ("thrust", "must be >= 0"),
+    ("omega", "must be positive"),
+    ("prop_count", "must be >= 1"),
+)
+_POSITIVE = np.array([[rule == "must be positive"] for _, rule in _CHECKS])
+
+
 def _check_steady(columns) -> None:
     # raise _RowError for the first value SteadyRecord rejects in columns (one
     # sequence per field, torque None where not measured), first in row order,
-    # then in field order, with the value shown as given
-    def floats(name):
-        return np.asarray(columns[name], dtype=float)  # None reads nan
-
-    def positive(name):
-        values = floats(name)
-        return np.isfinite(values) & (values > 0.0)
-
+    # then in the order of _CHECKS, with the value shown as given
+    values = np.array([columns[name] for name, _ in _CHECKS], dtype=float)  # None reads nan
+    bad = ~np.isfinite(values) | (_POSITIVE & (values <= 0.0))
+    bad[6], bad[8] = values[6] < 0.0, values[8] < 1.0  # the rows of the thrust sign and prop_count
     torque = columns["torque"]
-    # an array holds no None
-    measured = isinstance(torque, np.ndarray) or np.array([v is not None for v in torque], dtype=bool)
-    checks = [
-        ("distance", "must be positive", ~positive("distance")),
-        ("radius", "must be positive", ~positive("radius")),
-        *((name, "must be finite", ~np.isfinite(floats(name))) for name in ("voltage", "current", "thrust")),
-        ("torque", "must be finite", ~np.isfinite(floats("torque")) & measured),
-        ("thrust", "must be >= 0", floats("thrust") < 0.0),
-        ("omega", "must be positive", ~positive("omega")),
-        ("prop_count", "must be >= 1", floats("prop_count") < 1.0),
-    ]
-    bad = np.stack([mask for *_, mask in checks])
-    rows = np.flatnonzero(bad.any(axis=0))
-    if rows.size:
-        i = int(rows[0])
-        name, rule, _ = checks[int(np.argmax(bad[:, i]))]
+    if not isinstance(torque, np.ndarray):  # an array holds no None
+        bad[5] &= np.array([v is not None for v in torque], dtype=bool)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        name, rule = _CHECKS[int(np.argmax(bad[:, i]))]
         value = columns[name][i]
         raise _RowError(i, f"{name} {rule}, got {value.item() if isinstance(value, np.generic) else value}")
 
