@@ -133,8 +133,6 @@ def torque_coefficient(c_t, geom: PropellerGeometry, env: Environment, gamma=1.0
     g = np.asarray(gamma, dtype=float)
     if np.any(g <= 0.0):
         raise ValueError("ceiling coefficient must be positive")
-    if geom.figure_of_merit <= 0.0:
-        raise ValueError("figure of merit must be positive")
     return _scalar_or_array(ct**1.5 / (geom.figure_of_merit * g * np.sqrt(2.0 * env.air_density * geom.disc_area)))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -82,29 +83,40 @@ def _expand_ranges(expr: str, log: bool = False) -> np.ndarray:
     return np.concatenate(values)
 
 
-def _load_params(path) -> ParamSet:
+def _sections(path, *names, blade=False):
+    # the parameter file at path, then its sections names; DataFormatError for
+    # the first missing, and with blade for a geometry without blade coefficients
     if not os.path.exists(path):
         raise DataFormatError(f"{path}: parameter file not found")
-    return read_params(path)
+    params = read_params(path)
+    sections = [getattr(params, name) for name in names]
+    for name, section in zip(names, sections):
+        if section is None:
+            raise DataFormatError(f"{path}: parameter file has no {name} section")
+        if name == "geometry" and blade and section.blade_coeffs is None:
+            raise DataFormatError(f"{path}: geometry has no blade coefficients")
+    return params, *sections
 
 
 def _merge_params(path) -> ParamSet:
     return read_params(path) if os.path.exists(path) else ParamSet()
 
 
-def _require(value, what, path):
-    if value is None:
-        raise DataFormatError(f"{path}: parameter file has no {what} section")
-    return value
+def _fit_provenance(path, report, **extra) -> dict:
+    # what the ceiling and blade fits record of themselves in the parameter file
+    return {
+        "dataset_sha256": dataset_sha256(path),
+        "n_obs": report.n_obs,
+        "residual_rms": report.residual_rms,
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "notes": list(report.notes),
+        **extra,
+    }
 
 
 def _cmd_synth(args) -> int:
-    params = _load_params(args.params)
-    geometry = _require(params.geometry, "geometry", args.params)
-    if geometry.blade_coeffs is None:
-        raise DataFormatError(f"{args.params}: geometry has no blade coefficients")
-    ceiling = _require(params.ceiling, "ceiling", args.params)
-    motor = _require(params.motor, "motor", args.params)
+    _, geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor", blade=True)
     records = synthesize_dataset(
         geometry,
         ceiling,
@@ -161,14 +173,13 @@ def _cmd_fit_gamma(args) -> int:
     records = read_steady_csv(args.input)
     motor = None
     if args.motor_params:
-        motor = _require(_load_params(args.motor_params).motor, "motor", args.motor_params)
+        _, motor = _sections(args.motor_params, "motor")
     eta, points = fit_eta_gamma(
         records,
         Environment(air_density=args.density),
         motor=motor,
         max_anchor_delta=args.max_anchor_delta,
     )
-    write_gamma_csv(points, args.out)
     params = _merge_params(args.params)
     old_coeffs = params.geometry.blade_coeffs if params.geometry is not None else None
     params.geometry = PropellerGeometry(radius=records[0].radius, figure_of_merit=eta, blade_coeffs=old_coeffs)
@@ -178,6 +189,7 @@ def _cmd_fit_gamma(args) -> int:
         "n_gamma_points": len(points),
         "figure_of_merit": eta,
     }
+    write_gamma_csv(points, args.out)
     write_params(params, args.params)
     print(f"fit-gamma: figure of merit {eta:.6g}, {len(points)} ceiling-factor points to {args.out}")
     return 0
@@ -188,15 +200,7 @@ def _cmd_fit_ceiling(args) -> int:
     ceiling, report = fit_ceiling_params(points, reduced=args.reduced)
     params = _merge_params(args.params)
     params.ceiling = ceiling
-    params.provenance["ceiling_fit"] = {
-        "dataset_sha256": dataset_sha256(args.input),
-        "n_obs": report.n_obs,
-        "residual_rms": report.residual_rms,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "reduced": args.reduced,
-        "notes": list(report.notes),
-    }
+    params.provenance["ceiling_fit"] = _fit_provenance(args.input, report, reduced=args.reduced)
     write_params(params, args.params)
     print(
         f"fit-ceiling: asymmetry {ceiling.asymmetry:.6g}, recirculation {ceiling.recirculation:.6g} "
@@ -207,9 +211,7 @@ def _cmd_fit_ceiling(args) -> int:
 
 def _cmd_fit_blade(args) -> int:
     records = read_steady_csv(args.input)
-    params = _load_params(args.params)
-    geometry = _require(params.geometry, "geometry", args.params)
-    ceiling = _require(params.ceiling, "ceiling", args.params)
+    params, geometry, ceiling = _sections(args.params, "geometry", "ceiling")
     ct_points, ctau_points = flight_coefficient_points(records)
     coeffs, report = fit_blade_coefficients(
         ct_points,
@@ -219,17 +221,8 @@ def _cmd_fit_blade(args) -> int:
         ceiling=ceiling,
         env=Environment(air_density=args.density),
     )
-    params.geometry = PropellerGeometry(
-        radius=geometry.radius, figure_of_merit=geometry.figure_of_merit, blade_coeffs=coeffs
-    )
-    params.provenance["blade_fit"] = {
-        "dataset_sha256": dataset_sha256(args.input),
-        "n_obs": report.n_obs,
-        "residual_rms": report.residual_rms,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "notes": list(report.notes),
-    }
+    params.geometry = replace(geometry, blade_coeffs=coeffs)
+    params.provenance["blade_fit"] = _fit_provenance(args.input, report)
     write_params(params, args.params)
     print(
         f"fit-blade: c0 {coeffs[0]:.6g}, c1 {coeffs[1]:.6g}, c2 {coeffs[2]:.6g} "
@@ -239,11 +232,7 @@ def _cmd_fit_blade(args) -> int:
 
 
 def _cmd_predict_coeffs(args) -> int:
-    params = _load_params(args.params)
-    geometry = _require(params.geometry, "geometry", args.params)
-    if geometry.blade_coeffs is None:
-        raise DataFormatError(f"{args.params}: geometry has no blade coefficients")
-    ceiling = _require(params.ceiling, "ceiling", args.params)
+    _, geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
     env = Environment(air_density=args.density)
     deltas = _expand_ranges(args.deltas, log=args.log)
     gamma = ceiling_coefficient(deltas, ceiling)
@@ -256,10 +245,7 @@ def _cmd_predict_coeffs(args) -> int:
 
 
 def _cmd_power_saving(args) -> int:
-    params = _load_params(args.params)
-    geometry = _require(params.geometry, "geometry", args.params)
-    ceiling = _require(params.ceiling, "ceiling", args.params)
-    motor = _require(params.motor, "motor", args.params)
+    _, geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor")
     env = Environment(air_density=args.density)
     c_tau = args.c_tau
     if c_tau is None:
@@ -276,11 +262,7 @@ def _cmd_power_saving(args) -> int:
 
 
 def _cmd_resonance(args) -> int:
-    params = _load_params(args.params)
-    geometry = _require(params.geometry, "geometry", args.params)
-    if geometry.blade_coeffs is None:
-        raise DataFormatError(f"{args.params}: geometry has no blade coefficients")
-    ceiling = _require(params.ceiling, "ceiling", args.params)
+    _, geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
     scan = resonance_scan(geometry, ceiling, _expand_ranges(args.deltas, log=args.log))
     _write_table(args.out, ("delta", "inflow_ratio", "product"), (scan.deltas, scan.inflow_ratios, scan.products))
     print(f"resonance: {len(scan.deltas)} gap ratios to {args.out}")
@@ -289,8 +271,7 @@ def _cmd_resonance(args) -> int:
 
 def _cmd_anomalies(args) -> int:
     points = read_gamma_csv(args.input)
-    params = _load_params(args.params)
-    ceiling = _require(params.ceiling, "ceiling", args.params)
+    _, ceiling = _sections(args.params, "ceiling")
     flagged = anomaly_scan(points, ceiling, threshold=args.threshold)
     _write_table(args.out, ("delta",), [flagged])
     print(f"anomalies: flagged {len(flagged)} of {len(points)} points to {args.out}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bemt import PropellerGeometry, _thrust_coefficient, thrust_coefficient, torque_coefficient
 from .core import CeilingParams, Environment, _ceiling_coefficient, aerodynamic_power, ceiling_coefficient
-from .leastsq import FitReport, IdentifiabilityError, _group_slopes, gauss_newton
+from .leastsq import FitReport, IdentifiabilityError, _fit, _group_slopes
 from .motor import MotorParams, mechanical_power_from_motor, mechanical_power_from_torque
 
 __all__ = [
@@ -342,31 +342,15 @@ def fit_ceiling_params(points, reduced: bool = False) -> tuple[CeilingParams, Fi
         raise ValueError(f"need at least {needed} distinct gap ratios, got {n_distinct}")
 
     sqrt_w = np.sqrt(_point_weights(stderr))
-    names = ("asymmetry",) if reduced else ("asymmetry", "recirculation")
+    k = 1 if reduced else 2  # free parameters
     residual = lambda x: sqrt_w * (_ceiling_coefficient(delta, x[0], 0.0 if reduced else x[1]) - gamma)
-    x0 = _coarse_start(residual, [np.geomspace(1.0, 100.0, 24), np.linspace(0.0, 0.1, 12)][: len(names)])
-    x, gn = gauss_newton(residual, x0, bounds=[(1.0, 100.0), (0.0, 1.0)][: len(names)])
-    params = CeilingParams(*(float(v) for v in x))
-
-    report = FitReport(
-        parameters={name: float(v) for name, v in zip(names, x)},
-        residual_rms=gn.residual_rms,
-        n_obs=len(pts),
-        converged=gn.converged,
-        iterations=gn.iterations,
-        notes=tuple(note.replace("x0", "asymmetry").replace("x1", "recirculation") for note in gn.notes),
+    x, report = _fit(
+        residual,
+        ("asymmetry", "recirculation")[:k],
+        [np.geomspace(1.0, 100.0, 24), np.linspace(0.0, 0.1, 12)][:k],
+        bounds=[(1.0, 100.0), (0.0, 1.0)][:k],
     )
-    return params, report
-
-
-def _coarse_start(residual, axes) -> np.ndarray:
-    # cheap grid scan for a sane Gauss-Newton starting point: each residual
-    # call scores a block of n < 256 candidates, passed as parameter columns
-    # of shape (k, n, 1); blocks keep the temporaries under 1 MiB
-    candidates = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
-    blocks = np.array_split(candidates, max(1, candidates.shape[1] // 128), axis=1)
-    sse = np.concatenate([np.sum(residual(block[..., None]) ** 2, axis=-1) for block in blocks])
-    return candidates[:, int(np.argmin(sse))]
+    return CeilingParams(*(float(v) for v in x)), report
 
 
 def flight_coefficient_points(records) -> tuple[list, list]:
@@ -423,21 +407,13 @@ def fit_blade_coefficients(
         r_cq = (torque_coefficient(c_t, rotor, env, gamma=g_cq) - v_cq) / norm_cq
         return np.concatenate([r_ct, r_cq], axis=-1)
 
-    x0 = _coarse_start(
+    x, report = _fit(
         residual,
+        ("c0", "c1", "c2"),
         [np.geomspace(0.005, 2.0, 12), np.geomspace(0.005, 5.0, 12), np.linspace(0.0, 0.2, 6)],
+        bounds=[(1e-9, 10.0), (1e-9, 10.0), (0.0, 1.0)],
     )
-    x, gn = gauss_newton(residual, x0, bounds=[(1e-9, 10.0), (1e-9, 10.0), (0.0, 1.0)])
-    coeffs = (float(x[0]), float(x[1]), float(x[2]))
-    report = FitReport(
-        parameters={"c0": coeffs[0], "c1": coeffs[1], "c2": coeffs[2]},
-        residual_rms=gn.residual_rms,
-        n_obs=gn.n_obs,
-        converged=gn.converged,
-        iterations=gn.iterations,
-        notes=tuple(n.replace("x0", "c0").replace("x1", "c1").replace("x2", "c2") for n in gn.notes),
-    )
-    return coeffs, report
+    return (float(x[0]), float(x[1]), float(x[2])), report
 
 
 def _noise_sigmas(noise) -> np.ndarray:

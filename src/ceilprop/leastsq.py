@@ -70,23 +70,22 @@ def _numeric_jacobian(residual, x, n_obs, rel_step=1e-6):
     return jac
 
 
-def gauss_newton(
-    residual,
-    x0,
-    bounds,
-    max_iter: int = 500,
-    step_tol: float = 1e-10,
-    sse_tol: float = 1e-12,
-):
+MAX_ITER = 500
+STEP_TOL = 1e-10
+SSE_TOL = 1e-12
+
+
+def gauss_newton(residual, x0, bounds, names=None):
     """Minimize sum(residual(x)**2) inside box bounds by damped Gauss-Newton.
 
     residual maps a parameter vector to a residual vector and must be
     evaluable slightly outside the bounds (numeric Jacobians probe there).
     Steps are halved until the SSE does not increase and clipped to the box.
-    Converged means the relative step or the relative SSE change fell below
-    tolerance before max_iter.
+    Converged means the relative step fell below STEP_TOL, or the relative
+    SSE drop below SSE_TOL, within MAX_ITER iterations.
 
-    Returns (x, FitReport); parameters in the report are indexed "x0", "x1", ...
+    Returns (x, FitReport); the report and its notes name the parameters by
+    names, "x0", "x1", ... by default.
     """
     x = np.asarray(x0, dtype=float).copy()
     lo = np.asarray([b[0] for b in bounds], dtype=float)
@@ -94,13 +93,14 @@ def gauss_newton(
     if len(lo) != len(x) or np.any(lo > hi):
         raise ValueError("bounds must be (lo, hi) pairs, one per parameter")
     x = np.clip(x, lo, hi)
+    names = [f"x{j}" for j in range(len(x))] if names is None else list(names)
 
     r = np.asarray(residual(x), dtype=float)
     sse = float(r @ r)
     converged = False
     iterations = 0
     jac = None
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         jac = _numeric_jacobian(residual, x, len(r))
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         lam = 1.0
@@ -120,18 +120,18 @@ def gauss_newton(
         rel_step = float(np.linalg.norm(x_new - x)) / max(float(np.linalg.norm(x)), 1e-300)
         rel_drop = (sse - sse_new) / max(sse, 1e-300)
         x, r, sse = x_new, r_new, sse_new
-        if rel_step < step_tol or rel_drop < sse_tol:
+        if rel_step < STEP_TOL or rel_drop < SSE_TOL:
             converged = True
             break
 
     notes = []
     if jac is not None:
         col_norms = np.linalg.norm(jac, axis=0)
-        dead = [f"x{j}" for j, c in enumerate(col_norms) if c < 1e-9]
+        dead = [name for name, c in zip(names, col_norms) if c < 1e-9]
         if dead:
             notes.append("non-identifiable parameters: " + ", ".join(dead))
     report = FitReport(
-        parameters={f"x{j}": float(v) for j, v in enumerate(x)},
+        parameters={name: float(v) for name, v in zip(names, x, strict=True)},
         residual_rms=float(np.sqrt(sse / len(r))),
         n_obs=len(r),
         converged=converged,
@@ -139,6 +139,18 @@ def gauss_newton(
         notes=tuple(notes),
     )
     return x, report
+
+
+def _fit(residual, names, axes, bounds):
+    # bounded fit of the parameters names: the best point of a coarse grid
+    # (one value axis per parameter) starts gauss_newton, reached through its
+    # module name so that a wrapped gauss_newton sees every fit.  Each residual
+    # call scores a block of n < 256 candidates, passed as parameter columns
+    # of shape (k, n, 1); blocks keep the temporaries under 1 MiB
+    candidates = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
+    blocks = np.array_split(candidates, max(1, candidates.shape[1] // 128), axis=1)
+    sse = np.concatenate([np.sum(residual(block[..., None]) ** 2, axis=-1) for block in blocks])
+    return gauss_newton(residual, candidates[:, int(np.argmin(sse))], bounds, names)
 
 
 def grid_oracle(objective, bounds, resolution: int = 100):

@@ -186,6 +186,23 @@ class TestPipeline:
         assert run("fit-gamma", "--input", mixed, "--out", gamma_csv, "--params", fit) == 2
         assert not gamma_csv.exists() and not fit.exists()
 
+    def test_fit_gamma_invalid_figure_of_merit_writes_nothing(self, records_file, tmp_path, capsys):
+        # a third of the torque puts the fitted figure of merit near 1.5
+        records = [dataclasses.replace(r, torque=r.torque / 3.0) for r in read_steady_csv(records_file)]
+        low = tmp_path / "low.csv"
+        write_steady_csv(records, low)
+        gamma_csv, fit = tmp_path / "gamma.csv", tmp_path / "fit.json"
+        assert run("fit-gamma", "--input", low, "--out", gamma_csv, "--params", fit) == 2
+        assert "figure of merit must be in (0, 1]" in capsys.readouterr().err
+        assert not gamma_csv.exists() and not fit.exists()
+
+    def test_fit_gamma_malformed_params_writes_nothing(self, records_file, tmp_path, capsys):
+        gamma_csv, fit = tmp_path / "gamma.csv", tmp_path / "fit.json"
+        fit.write_text("[]\n")
+        assert run("fit-gamma", "--input", records_file, "--out", gamma_csv, "--params", fit) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+        assert not gamma_csv.exists() and fit.read_text() == "[]\n"
+
     @pytest.mark.parametrize("field, value", [("radius", 0.05), ("config_id", "big")])
     def test_fit_blade_mixed_table_writes_nothing(self, records_file, tmp_path, capsys, field, value):
         fit, gamma_csv = tmp_path / "fit.json", tmp_path / "gamma.csv"

@@ -265,6 +265,11 @@ class TestFitCeilingParams:
         fitted, report = fit_ceiling_params(points)
         assert any("non-identifiable" in note for note in report.notes)
 
+    def test_degenerate_points_named(self):
+        points = [GammaPoint(delta=d, gamma=1.0, stderr=0.0, n_points=16) for d in (0.0, 5e-7, 1e-6)]
+        _, report = fit_ceiling_params(points)
+        assert report.notes == ("non-identifiable parameters: asymmetry, recirculation",)
+
     def test_insufficient_points_rejected(self):
         truth = CeilingParams(asymmetry=1.6)
         points = self.gamma_points(truth, [0.0, 10.0])
@@ -349,6 +354,15 @@ class TestFitBladeCoefficients:
                 ct_points, [], radius=0.023, figure_of_merit=0.50, ceiling=single_prop_ceiling, env=env
             )
         assert coeffs[0] == pytest.approx(0.154, rel=1e-3)
+
+    def test_dead_c2_named(self, geom_23mm, single_prop_ceiling, env):
+        # at gap ratios of 1e-12 the radial-inflow term c2*delta cannot be seen
+        ct_points, ctau_points = self.model_points(geom_23mm, single_prop_ceiling, env, [0.0, 1e-12, 2e-12])
+        _, report = fit_blade_coefficients(
+            ct_points, ctau_points, radius=0.023, figure_of_merit=0.5, ceiling=single_prop_ceiling, env=env
+        )
+        assert report.notes == ("non-identifiable parameters: c2",)
+        assert set(report.parameters) == {"c0", "c1", "c2"}
 
     def test_too_few_ratios_rejected(self, geom_23mm, single_prop_ceiling, env):
         ct_points, ctau_points = self.model_points(geom_23mm, single_prop_ceiling, env, [0.0, 10.0])

@@ -107,6 +107,12 @@ class TestGaussNewton:
         assert x[0] == pytest.approx(0.0, abs=1e-9)
         assert any("non-identifiable" in note and "x1" in note for note in report.notes)
 
+    def test_names_label_report_and_notes(self):
+        residual = lambda x: np.array([x[0] - 1.0, x[0] + 1.0])
+        _, report = gauss_newton(residual, [0.0, 0.3], bounds=[(-5.0, 5.0)] * 2, names=("slope", "spare"))
+        assert set(report.parameters) == {"slope", "spare"}
+        assert report.notes == ("non-identifiable parameters: spare",)
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             gauss_newton(lambda x: x, [0.0], bounds=[(1.0, -1.0)])

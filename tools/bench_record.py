@@ -12,7 +12,8 @@ every other round, so that a change in the host's load falls on all of them
 alike.  It records, per tree, the median, quartiles, min and max of each
 end-to-end metric and every run's value, the failed-request counts, the git
 SHA, Python and numpy versions, nproc, and the wall time of the tier-1 suite
-(``python -m pytest -q`` with PYTHONPATH=src).  --out is written afresh with
+(``python -m pytest -q`` with PYTHONPATH=src) next to the line count of each
+``src/ceilprop/*.py`` module and their total.  --out is written afresh with
 the trees of this one invocation only, so every record in it was measured
 under the same alternation.
 """
@@ -51,7 +52,19 @@ def _tier1(tree: Path) -> dict:
     )
     wall = time.perf_counter() - start
     summary = next((line for line in reversed(out.stdout.splitlines()) if " in " in line and "passed" in line), "")
-    return {"wall_s": wall, "exit_code": out.returncode, "summary": summary.strip("= ")}
+    return {
+        "wall_s": wall,
+        "exit_code": out.returncode,
+        "summary": summary.strip("= "),
+        "src_lines": _src_lines(tree),
+    }
+
+
+def _src_lines(tree: Path) -> dict:
+    # lines of each module of the package, by file name, and their total
+    modules = sorted((tree / "src" / "ceilprop").glob("*.py"))
+    counts = {path.name: len(path.read_bytes().splitlines()) for path in modules}
+    return {**counts, "total": sum(counts.values())}
 
 
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
