@@ -389,22 +389,25 @@ def fit_blade_coefficients(
     if len(ct) == 0:
         raise ValueError("need thrust-coefficient points")
     ctau = np.array(sorted(ctau_points), dtype=float).reshape(-1, 2)
-    if len(np.unique(np.concatenate([ct[:, 0], ctau[:, 0]]))) < 3:
+    # c_T is evaluated once over the distinct gap ratios of both series
+    delta, inverse = np.unique(np.concatenate([ct[:, 0], ctau[:, 0]]), return_inverse=True)
+    if len(delta) < 3:
         raise ValueError("need at least 3 distinct gap ratios")
     if len(ctau) == 0:
         warnings.warn("no torque-coefficient points; fitting thrust series only")
 
     (d_ct, v_ct), (d_cq, v_cq) = ct.T, ctau.T
-    g_ct, g_cq = ceiling_coefficient(d_ct, ceiling), ceiling_coefficient(d_cq, ceiling)
+    i_ct, i_cq = inverse[: len(ct)], inverse[len(ct) :]
+    gamma = ceiling_coefficient(delta, ceiling)
     norm_ct = v_ct[np.argmin(d_ct)]
     norm_cq = v_cq[np.argmin(d_cq)] if len(ctau) else 1.0  # an empty series needs no scale
     rotor = PropellerGeometry(radius=radius, figure_of_merit=figure_of_merit)
 
     def residual(x):
         c0, c1, c2 = x
-        r_ct = (_thrust_coefficient(d_ct, g_ct, c0, c1, c2, radius, env.air_density) - v_ct) / norm_ct
-        c_t = _thrust_coefficient(d_cq, g_cq, c0, c1, c2, radius, env.air_density)
-        r_cq = (torque_coefficient(c_t, rotor, env, gamma=g_cq) - v_cq) / norm_cq
+        c_t = _thrust_coefficient(delta, gamma, c0, c1, c2, radius, env.air_density)
+        r_ct = (c_t[..., i_ct] - v_ct) / norm_ct
+        r_cq = (torque_coefficient(c_t[..., i_cq], rotor, env, gamma=gamma[i_cq]) - v_cq) / norm_cq
         return np.concatenate([r_ct, r_cq], axis=-1)
 
     x, report = _fit(

@@ -56,18 +56,16 @@ def slope_through_origin(x, y) -> tuple[float, float]:
     return float(slope[0]), float(stderr[0])
 
 
-def _numeric_jacobian(residual, x, n_obs, rel_step=1e-6):
+def _numeric_jacobian(residual, x, n_obs, columns=False, rel_step=1e-6):
     # central differences of the n_obs residuals with a unit floor on the
-    # relative step: 2 residual calls per parameter
-    jac = np.empty((n_obs, len(x)))
-    for j in range(len(x)):
-        h = rel_step * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * h)
-    return jac
+    # relative step.  The 2k probes x + h_j e_j, then x - h_j e_j, are the
+    # columns of one (k, 2k) array: with columns, one residual call scores
+    # them all as parameter columns of shape (k, 2k, 1); else one call each
+    h = rel_step * np.maximum(np.abs(x), 1.0)
+    probes = x[:, None] + np.hstack([np.diag(h), -np.diag(h)])
+    r = residual(probes[..., None]) if columns else [residual(p) for p in probes.T]
+    r = np.asarray(r, dtype=float).reshape(2 * len(x), n_obs)
+    return (r[: len(x)] - r[len(x) :]).T / (2.0 * h)
 
 
 MAX_ITER = 500
@@ -75,7 +73,7 @@ STEP_TOL = 1e-10
 SSE_TOL = 1e-12
 
 
-def gauss_newton(residual, x0, bounds, names=None):
+def gauss_newton(residual, x0, bounds, names=None, columns=False):
     """Minimize sum(residual(x)**2) inside box bounds by damped Gauss-Newton.
 
     residual maps a parameter vector to a residual vector and must be
@@ -83,6 +81,9 @@ def gauss_newton(residual, x0, bounds, names=None):
     Steps are halved until the SSE does not increase and clipped to the box.
     Converged means the relative step fell below STEP_TOL, or the relative
     SSE drop below SSE_TOL, within MAX_ITER iterations.
+
+    With columns, residual also takes n parameter columns, shape (k, n, 1),
+    and returns (n, n_obs): each Jacobian is then 1 call, not 2 per parameter.
 
     Returns (x, FitReport); the report and its notes name the parameters by
     names, "x0", "x1", ... by default.
@@ -101,7 +102,7 @@ def gauss_newton(residual, x0, bounds, names=None):
     iterations = 0
     jac = None
     for iterations in range(1, MAX_ITER + 1):
-        jac = _numeric_jacobian(residual, x, len(r))
+        jac = _numeric_jacobian(residual, x, len(r), columns)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         lam = 1.0
         accepted = False
@@ -144,13 +145,13 @@ def gauss_newton(residual, x0, bounds, names=None):
 def _fit(residual, names, axes, bounds):
     # bounded fit of the parameters names: the best point of a coarse grid
     # (one value axis per parameter) starts gauss_newton, reached through its
-    # module name so that a wrapped gauss_newton sees every fit.  Each residual
-    # call scores a block of n < 256 candidates, passed as parameter columns
-    # of shape (k, n, 1); blocks keep the temporaries under 1 MiB
+    # module name so that a wrapped gauss_newton sees every fit.  One residual
+    # call scores parameter columns of shape (k, n, 1): a block of n < 256
+    # candidates (under 1 MiB of temporaries) or a Jacobian's 2k probes
     candidates = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
     blocks = np.array_split(candidates, max(1, candidates.shape[1] // 128), axis=1)
     sse = np.concatenate([np.sum(residual(block[..., None]) ** 2, axis=-1) for block in blocks])
-    return gauss_newton(residual, candidates[:, int(np.argmin(sse))], bounds, names)
+    return gauss_newton(residual, candidates[:, int(np.argmin(sse))], bounds, names, columns=True)
 
 
 def grid_oracle(objective, bounds, resolution: int = 100):

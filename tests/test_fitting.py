@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,40 @@ class TestFitBladeCoefficients:
         )
         assert report.notes == ("non-identifiable parameters: c2",)
         assert set(report.parameters) == {"c0", "c1", "c2"}
+
+    # The residual takes c_T once over the distinct gap ratios of both series
+    # and indexes each series out of it.  The torque series here covers every
+    # third thrust ratio, nothing, or adds a ratio the thrust series lacks;
+    # the values wobble by 1% so that the fit leaves the truth, and the
+    # constants are those of the fit that took c_T per series.
+    @pytest.mark.parametrize(
+        "ct_deltas, ctau_deltas, expected",
+        [
+            (
+                np.linspace(0.0, 23.0, 24), np.linspace(0.0, 23.0, 24)[::3],
+                "(0.15783452771397055, 0.8737351034739026, 0.01842408600684958)",
+            ),
+            (np.linspace(0.0, 23.0, 24), [], "(0.15721527646750044, 0.868856650723998, 0.018979029788408486)"),
+            (
+                np.linspace(0.0, 20.0, 11), [0.0, 5.0, 10.0, 21.5],
+                "(0.14852555739377427, 0.7930687326336667, 0.025363494975265955)",
+            ),
+        ],
+        ids=["torque-subset", "torque-empty", "torque-extra-ratio"],
+    )
+    def test_shared_thrust_coefficient_index(
+        self, ct_deltas, ctau_deltas, expected, geom_23mm, single_prop_ceiling, env
+    ):
+        wobble = lambda points: [(d, v * (1.0 + 0.01 * math.cos(3.0 * d))) for d, v in points]
+        ct_points = wobble(self.model_points(geom_23mm, single_prop_ceiling, env, ct_deltas)[0])
+        ctau_points = wobble(self.model_points(geom_23mm, single_prop_ceiling, env, ctau_deltas)[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the empty torque series warns
+            coeffs, report = fit_blade_coefficients(
+                ct_points, ctau_points, radius=0.023, figure_of_merit=0.5, ceiling=single_prop_ceiling, env=env
+            )
+        assert report.converged
+        assert repr(coeffs) == expected
 
     def test_too_few_ratios_rejected(self, geom_23mm, single_prop_ceiling, env):
         ct_points, ctau_points = self.model_points(geom_23mm, single_prop_ceiling, env, [0.0, 10.0])

@@ -5,7 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceilprop import gauss_newton, grid_oracle, slope_through_origin
+from ceilprop import (
+    CeilingParams,
+    Environment,
+    GammaPoint,
+    PropellerGeometry,
+    ceiling_coefficient,
+    fit_blade_coefficients,
+    fit_ceiling_params,
+    gauss_newton,
+    grid_oracle,
+    slope_through_origin,
+    thrust_coefficient,
+    torque_coefficient,
+)
+from ceilprop import leastsq
 from ceilprop.leastsq import IdentifiabilityError, _group_slopes, _numeric_jacobian
 
 # magnitudes whose squares neither underflow nor overflow
@@ -182,3 +196,55 @@ class TestNumericJacobian:
         jac = _numeric_jacobian(residual, x, 4)
         assert len(calls) == 2 * k
         np.testing.assert_allclose(jac, matrix, rtol=1e-7)  # a 1e-6 step on residuals of about 30
+
+    @pytest.mark.parametrize(
+        "model, k", [("linear", 1), ("linear", 2), ("linear", 3), ("ceiling", 1), ("ceiling", 2), ("blade", 3)]
+    )
+    def test_columns_one_residual_call_same_matrix(self, model, k, monkeypatch):
+        residual, x = self.fit_residual(model, k, monkeypatch)
+        calls = []
+
+        def counted(p):
+            calls.append(np.shape(p))
+            return residual(p)
+
+        n_obs = len(residual(x))
+        per_probe = _numeric_jacobian(counted, x, n_obs)
+        assert len(calls) == 2 * k
+        calls.clear()
+        block = _numeric_jacobian(counted, x, n_obs, columns=True)
+        assert calls == [(k, 2 * k, 1)]
+        assert block.shape == (n_obs, k)
+        assert block.tobytes() == per_probe.tobytes()
+
+    @staticmethod
+    def fit_residual(model, k, monkeypatch):
+        # a residual that takes parameter columns, and the point where the
+        # fit starts gauss_newton with it
+        if model == "linear":
+            matrix = np.arange(1.0, 4.0 * k + 1.0).reshape(4, k)
+            return (lambda x: sum(matrix[:, j] * x[j] for j in range(k)) - 1.0), np.linspace(0.5, 2.0, k)
+        started = []
+        real = leastsq.gauss_newton
+
+        def spy(residual, x0, *args, **kwargs):
+            started.append((residual, x0))
+            return real(residual, x0, *args, **kwargs)
+
+        monkeypatch.setattr(leastsq, "gauss_newton", spy)
+        ceiling = CeilingParams(asymmetry=1.6, recirculation=0.01)
+        deltas = np.linspace(0.2, 5.0, 12)
+        wobble = 1.0 + 0.01 * np.cos(3.0 * deltas)  # keeps the fit off the truth
+        if model == "ceiling":
+            gammas = ceiling_coefficient(deltas, ceiling) * wobble
+            fit_ceiling_params([GammaPoint(d, g, 0.01, 16) for d, g in zip(deltas, gammas)], reduced=k == 1)
+        else:
+            env = Environment(air_density=1.2)
+            geom = PropellerGeometry(radius=0.023, figure_of_merit=0.5, blade_coeffs=(0.154, 0.846, 0.022))
+            c_t = thrust_coefficient(geom, deltas, ceiling, env) * wobble
+            c_tau = torque_coefficient(c_t, geom, env, gamma=ceiling_coefficient(deltas, ceiling))
+            fit_blade_coefficients(
+                list(zip(deltas, c_t)), list(zip(deltas[::2], c_tau[::2])),
+                radius=0.023, figure_of_merit=0.5, ceiling=ceiling, env=env,
+            )
+        return started[0]

@@ -12,7 +12,8 @@ every other round, so that a change in the host's load falls on all of them
 alike.  It records, per tree, the median, quartiles, min and max of each
 end-to-end metric and every run's value, the failed-request counts, the git
 SHA, Python and numpy versions, nproc, and the wall time of the tier-1 suite
-(``python -m pytest -q`` with PYTHONPATH=src) next to the line count of each
+(``python -m pytest -q --continue-on-collection-errors`` with src prepended
+to PYTHONPATH) and its summary line, next to the line count of each
 ``src/ceilprop/*.py`` module and their total.  --out is written afresh with
 the trees of this one invocation only, so every record in it was measured
 under the same alternation.
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -45,13 +47,15 @@ def _git_sha(tree: Path) -> str:
 
 
 def _tier1(tree: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # the ROADMAP's tier-1 command: src prepended to PYTHONPATH, and a module
+    # that fails to collect does not stop the other tests
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     start = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"], cwd=tree, env=env, capture_output=True, text=True
-    )
+    out = subprocess.run(argv, cwd=tree, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     wall = time.perf_counter() - start
-    summary = next((line for line in reversed(out.stdout.splitlines()) if " in " in line and "passed" in line), "")
+    # pytest's last line, e.g. "419 passed, 1 error in 20.1s"
+    summary = next((line for line in reversed(out.stdout.splitlines()) if re.search(r" in [\d.]+s\b", line)), "")
     return {
         "wall_s": wall,
         "exit_code": out.returncode,
