@@ -109,6 +109,11 @@ def _thrust_coefficient(delta, gamma, c0, c1, c2, radius, air_density):
     return 2.0 * air_density * (math.pi * radius * radius) * (2.0 * c0 * radius * gamma / denom) ** 2
 
 
+def _torque_coefficient(c_t, gamma, figure_of_merit, radius, air_density):
+    # Unvalidated c_tau = c_T^(3/2) / (eta gamma sqrt(2 rho A)); the arguments broadcast
+    return c_t**1.5 / (figure_of_merit * gamma * np.sqrt(2.0 * air_density * (math.pi * radius * radius)))
+
+
 def thrust_coefficient(geom: PropellerGeometry, delta, params: CeilingParams, env: Environment):
     """Thrust coefficient c_T [N s^2 / rad^2] at gap ratio delta.
 
@@ -133,7 +138,7 @@ def torque_coefficient(c_t, geom: PropellerGeometry, env: Environment, gamma=1.0
     g = np.asarray(gamma, dtype=float)
     if np.any(g <= 0.0):
         raise ValueError("ceiling coefficient must be positive")
-    return _scalar_or_array(ct**1.5 / (geom.figure_of_merit * g * np.sqrt(2.0 * env.air_density * geom.disc_area)))
+    return _scalar_or_array(_torque_coefficient(ct, g, geom.figure_of_merit, geom.radius, env.air_density))
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .bemt import PropellerGeometry, _thrust_coefficient, thrust_coefficient, torque_coefficient
+from . import leastsq
+from .bemt import PropellerGeometry, _thrust_coefficient, _torque_coefficient, thrust_coefficient, torque_coefficient
 from .core import CeilingParams, Environment, _ceiling_coefficient, aerodynamic_power, ceiling_coefficient
-from .leastsq import FitReport, IdentifiabilityError, _fit, _group_slopes
+from .leastsq import FitReport, IdentifiabilityError, _group_slopes
 from .motor import MotorParams, mechanical_power_from_motor, mechanical_power_from_torque
 
 __all__ = [
@@ -331,11 +332,12 @@ def fit_ceiling_params(points, reduced: bool = False) -> tuple[CeilingParams, Fi
     asymmetry in [1, 100], recirculation in [0, 1].  reduced pins
     recirculation to exactly 0 (the single-rotor model).  Needs at least
     2 distinct gap ratios (3 for the full model).
+
+    The start is one weighted linear solve of gamma^2 - gamma =
+    (a0/32)*delta^2 - a1*gamma*delta^2, exact on noise-free points, which
+    gauss_newton clips to the bounds and refines.
     """
-    pts = list(points)
-    delta = np.array([p.delta for p in pts])
-    gamma = np.array([p.gamma for p in pts])
-    stderr = np.array([p.stderr for p in pts])
+    delta, gamma, stderr = np.array([(p.delta, p.gamma, p.stderr) for p in points], dtype=float).reshape(-1, 3).T
     n_distinct = len(np.unique(delta))
     needed = 2 if reduced else 3
     if n_distinct < needed:
@@ -344,12 +346,10 @@ def fit_ceiling_params(points, reduced: bool = False) -> tuple[CeilingParams, Fi
     sqrt_w = np.sqrt(_point_weights(stderr))
     k = 1 if reduced else 2  # free parameters
     residual = lambda x: sqrt_w * (_ceiling_coefficient(delta, x[0], 0.0 if reduced else x[1]) - gamma)
-    x, report = _fit(
-        residual,
-        ("asymmetry", "recirculation")[:k],
-        [np.geomspace(1.0, 100.0, 24), np.linspace(0.0, 0.1, 12)][:k],
-        bounds=[(1.0, 100.0), (0.0, 1.0)][:k],
-    )
+    d2 = delta * delta
+    start = np.linalg.lstsq((sqrt_w * np.array([d2 / 32.0, -gamma * d2])[:k]).T, sqrt_w * (gamma * gamma - gamma))[0]
+    names, bounds = ("asymmetry", "recirculation")[:k], [(1.0, 100.0), (0.0, 1.0)][:k]
+    x, report = leastsq.gauss_newton(residual, start, bounds, names, columns=True)
     return CeilingParams(*(float(v) for v in x)), report
 
 
@@ -384,6 +384,12 @@ def fit_blade_coefficients(
     series contribute comparably despite differing magnitudes.  The ceiling
     factors come from the supplied fitted ceiling model.  Bounds: c0, c1 in
     (0, 10], c2 in [0, 1].
+
+    The start is one linear solve of c0 - c1*x + c2*delta*x = 4*gamma^2*x^2
+    over the points with positive slopes, exact on noise-free points, with
+    the inflow ratio x = sqrt(c_T/(2 rho A R^2))/gamma and, for a torque
+    point, c_T = (c_tau*eta*gamma*sqrt(2 rho A))^(2/3).  gauss_newton clips
+    it to the bounds and refines it.
     """
     ct = np.array(sorted(ct_points), dtype=float).reshape(-1, 2)
     if len(ct) == 0:
@@ -401,21 +407,24 @@ def fit_blade_coefficients(
     gamma = ceiling_coefficient(delta, ceiling)
     norm_ct = v_ct[np.argmin(d_ct)]
     norm_cq = v_cq[np.argmin(d_cq)] if len(ctau) else 1.0  # an empty series needs no scale
-    rotor = PropellerGeometry(radius=radius, figure_of_merit=figure_of_merit)
+    rho = env.air_density
+    PropellerGeometry(radius=radius, figure_of_merit=figure_of_merit)  # validates both
 
     def residual(x):
         c0, c1, c2 = x
-        c_t = _thrust_coefficient(delta, gamma, c0, c1, c2, radius, env.air_density)
+        c_t = _thrust_coefficient(delta, gamma, c0, c1, c2, radius, rho)
         r_ct = (c_t[..., i_ct] - v_ct) / norm_ct
-        r_cq = (torque_coefficient(c_t[..., i_cq], rotor, env, gamma=gamma[i_cq]) - v_cq) / norm_cq
+        r_cq = (_torque_coefficient(c_t[..., i_cq], gamma[i_cq], figure_of_merit, radius, rho) - v_cq) / norm_cq
         return np.concatenate([r_ct, r_cq], axis=-1)
 
-    x, report = _fit(
-        residual,
-        ("c0", "c1", "c2"),
-        [np.geomspace(0.005, 2.0, 12), np.geomspace(0.005, 5.0, 12), np.linspace(0.0, 0.2, 6)],
-        bounds=[(1e-9, 10.0), (1e-9, 10.0), (0.0, 1.0)],
-    )
+    rho_a = 2.0 * rho * math.pi * radius * radius
+    use = np.concatenate([v_ct, v_cq]) > 0.0
+    c_t = np.concatenate([v_ct, np.cbrt(v_cq * figure_of_merit * gamma[i_cq] * math.sqrt(rho_a)) ** 2])[use]
+    g, d = gamma[inverse][use], delta[inverse][use]
+    inflow = np.sqrt(c_t / (rho_a * radius * radius)) / g
+    start = np.linalg.lstsq(np.stack([np.ones_like(inflow), -inflow, d * inflow], 1), 4.0 * (g * inflow) ** 2)[0]
+    bounds = [(1e-9, 10.0), (1e-9, 10.0), (0.0, 1.0)]
+    x, report = leastsq.gauss_newton(residual, start, bounds, ("c0", "c1", "c2"), columns=True)
     return (float(x[0]), float(x[1]), float(x[2])), report
 
 

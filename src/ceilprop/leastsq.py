@@ -1,4 +1,4 @@
-"""Small-problem least squares: origin slopes, damped Gauss-Newton, grid oracle."""
+"""Small-problem least squares: origin slopes, projected Gauss-Newton, grid oracle."""
 
 from __future__ import annotations
 
@@ -74,13 +74,16 @@ SSE_TOL = 1e-12
 
 
 def gauss_newton(residual, x0, bounds, names=None, columns=False):
-    """Minimize sum(residual(x)**2) inside box bounds by damped Gauss-Newton.
+    """Minimize sum(residual(x)**2) inside box bounds by projected Gauss-Newton.
 
     residual maps a parameter vector to a residual vector and must be
     evaluable slightly outside the bounds (numeric Jacobians probe there).
-    Steps are halved until the SSE does not increase and clipped to the box.
-    Converged means the relative step fell below STEP_TOL, or the relative
-    SSE drop below SSE_TOL, within MAX_ITER iterations.
+    x0 is clipped to the box.  Each iteration holds every coordinate that
+    sits on a bound its gradient J'r pushes against (x = lo with J'r > 0, or
+    x = hi with J'r < 0), solves for the step on the free coordinates only,
+    halves it until the SSE does not increase, and clips it to the box.
+    Converged means the relative step fell below STEP_TOL, the relative SSE
+    drop below SSE_TOL, or no step descends, within MAX_ITER iterations.
 
     With columns, residual also takes n parameter columns, shape (k, n, 1),
     and returns (n, n_obs): each Jacobian is then 1 call, not 2 per parameter.
@@ -99,23 +102,21 @@ def gauss_newton(residual, x0, bounds, names=None, columns=False):
     r = np.asarray(residual(x), dtype=float)
     sse = float(r @ r)
     converged = False
-    iterations = 0
-    jac = None
     for iterations in range(1, MAX_ITER + 1):
         jac = _numeric_jacobian(residual, x, len(r), columns)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        grad = jac.T @ r
+        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+        step = np.zeros_like(x)
+        step[free] = np.linalg.lstsq(jac[:, free], -r, rcond=None)[0]
         lam = 1.0
-        accepted = False
         while lam >= 1e-12:
             x_new = np.clip(x + lam * step, lo, hi)
             r_new = np.asarray(residual(x_new), dtype=float)
             sse_new = float(r_new @ r_new)
             if sse_new <= sse:
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
-            # no descent direction left: already at a (possibly bound) minimum
+        else:  # no descent direction left: already at a (possibly bound) minimum
             converged = True
             break
         rel_step = float(np.linalg.norm(x_new - x)) / max(float(np.linalg.norm(x)), 1e-300)
@@ -125,33 +126,17 @@ def gauss_newton(residual, x0, bounds, names=None, columns=False):
             converged = True
             break
 
-    notes = []
-    if jac is not None:
-        col_norms = np.linalg.norm(jac, axis=0)
-        dead = [name for name, c in zip(names, col_norms) if c < 1e-9]
-        if dead:
-            notes.append("non-identifiable parameters: " + ", ".join(dead))
+    # MAX_ITER >= 1, so the loop ran and jac is the last Jacobian taken
+    dead = [name for name, c in zip(names, np.linalg.norm(jac, axis=0)) if c < 1e-9]
     report = FitReport(
         parameters={name: float(v) for name, v in zip(names, x, strict=True)},
         residual_rms=float(np.sqrt(sse / len(r))),
         n_obs=len(r),
         converged=converged,
         iterations=iterations,
-        notes=tuple(notes),
+        notes=("non-identifiable parameters: " + ", ".join(dead),) if dead else (),
     )
     return x, report
-
-
-def _fit(residual, names, axes, bounds):
-    # bounded fit of the parameters names: the best point of a coarse grid
-    # (one value axis per parameter) starts gauss_newton, reached through its
-    # module name so that a wrapped gauss_newton sees every fit.  One residual
-    # call scores parameter columns of shape (k, n, 1): a block of n < 256
-    # candidates (under 1 MiB of temporaries) or a Jacobian's 2k probes
-    candidates = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
-    blocks = np.array_split(candidates, max(1, candidates.shape[1] // 128), axis=1)
-    sse = np.concatenate([np.sum(residual(block[..., None]) ** 2, axis=-1) for block in blocks])
-    return gauss_newton(residual, candidates[:, int(np.argmin(sse))], bounds, names, columns=True)
 
 
 def grid_oracle(objective, bounds, resolution: int = 100):

@@ -115,6 +115,18 @@ class TestGaussNewton:
         assert x[0] == pytest.approx(1.0)
         assert report.converged
 
+    def test_minimum_on_bound_reached_from_bound(self):
+        # SSE (x0 - 1 + 0.9 v)^2 + 0.19 v^2 with v = x1 + 1: the free minimum
+        # (1, -1) lies outside x1 >= 0, the bound minimum is (0.1, 0).  From
+        # (1, 0) the full step (0, -1) clips to no move at all, so x1 must be
+        # held on its bound and the step taken in x0 alone
+        residual = lambda x: np.array([x[0] - 1.0 + 0.9 * (x[1] + 1.0), math.sqrt(0.19) * (x[1] + 1.0)])
+        x, report = gauss_newton(residual, [1.0, 0.0], bounds=[(-10.0, 10.0), (0.0, 10.0)])
+        assert x[0] == pytest.approx(0.1, rel=1e-9)
+        assert x[1] == 0.0
+        assert report.converged
+        assert report.residual_rms == pytest.approx(math.sqrt(0.19 / 2.0), rel=1e-12)
+
     def test_dead_parameter_flagged(self):
         residual = lambda x: np.array([x[0] - 1.0, x[0] + 1.0])
         x, report = gauss_newton(residual, [0.0, 0.3], bounds=[(-5.0, 5.0)] * 2)
