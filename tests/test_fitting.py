@@ -374,7 +374,8 @@ class TestFitBladeCoefficients:
 
     def test_collinear_ratios_fit_exactly(self, single_prop_ceiling, env):
         # at gap ratios 0, 1e-6 and 2e-6 the columns of c1 and c2 are nearly
-        # collinear; a grid start once stopped here with c1 at its lower bound
+        # collinear, and from a poor start the fit can stall with c1 on its
+        # lower bound at rms 0.034
         geom = PropellerGeometry(radius=0.0115, figure_of_merit=0.5, blade_coeffs=(0.154, 0.846, 0.022))
         ct_points, ctau_points = self.model_points(geom, single_prop_ceiling, env, [0.0, 1e-6, 2e-6])
         _, report = fit_blade_coefficients(
@@ -384,9 +385,10 @@ class TestFitBladeCoefficients:
         assert report.residual_rms <= 1e-9
 
     def test_noisy_fit_held_at_c2_bound_matches_grid_oracle(self, env):
-        # trial 18 of the bench's fit_batch workload at seed 11: a step that
-        # pushes c2 below its bound of 0 once ended the fit at 2.5 times the
-        # SSE of the grid oracle over the acceptance suite's c6 box
+        # trial 18 of the bench's fit_batch workload at seed 11: the minimum
+        # has c2 on its bound of 0, and a fit that stalls there without
+        # holding c2 stops at 2.5 times the SSE of the grid oracle over the
+        # acceptance suite's c6 box
         geom = PropellerGeometry(radius=0.023, figure_of_merit=0.5, blade_coeffs=(0.154, 0.846, 0.022))
         records = synthesize_dataset(
             geom,
