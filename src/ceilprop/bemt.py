@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CeilingParams, Environment, _delta_value, _scalar_or_array, ceiling_coefficient
+from .core import CeilingParams, Environment, _check_gamma, _delta_value, _scalar_or_array, ceiling_coefficient
 
 __all__ = [
     "PropellerGeometry",
@@ -50,8 +50,8 @@ class PropellerGeometry:
             raise ValueError(f"figure of merit must be in (0, 1], got {self.figure_of_merit}")
         if self.blade_coeffs is not None:
             c0, c1, c2 = self.blade_coeffs
-            if c0 <= 0.0 or c1 <= 0.0 or c2 < 0.0:
-                raise ValueError(f"blade coefficients must satisfy c0 > 0, c1 > 0, c2 >= 0, got {self.blade_coeffs}")
+            if not (0.0 < c0 < math.inf and 0.0 < c1 < math.inf and 0.0 <= c2 < math.inf):
+                raise ValueError(f"blade coefficients must be finite, c0 > 0, c1 > 0, c2 >= 0, got {self.blade_coeffs}")
             object.__setattr__(self, "blade_coeffs", (float(c0), float(c1), float(c2)))
 
     @property
@@ -74,8 +74,7 @@ def inflow_ratio(geom: PropellerGeometry, gamma, delta):
     c0, c1, c2 = geom._coeffs()
     d = _delta_value(delta)
     g = np.asarray(gamma, dtype=float)
-    if np.any(g <= 0.0):
-        raise ValueError("ceiling coefficient must be positive")
+    _check_gamma(g)
     b = c1 - c2 * d
     return _scalar_or_array((-b + np.sqrt(b * b + 16.0 * g * g * c0)) / (8.0 * g * g))
 
@@ -133,11 +132,10 @@ def torque_coefficient(c_t, geom: PropellerGeometry, env: Environment, gamma=1.0
     point enters here; gamma = 1 gives the free-air relation.
     """
     ct = np.asarray(c_t, dtype=float)
-    if np.any(ct < 0.0):
-        raise ValueError("thrust coefficient must be >= 0")
+    if not np.all(np.isfinite(ct) & (ct >= 0.0)):
+        raise ValueError("thrust coefficient must be finite and >= 0")
     g = np.asarray(gamma, dtype=float)
-    if np.any(g <= 0.0):
-        raise ValueError("ceiling coefficient must be positive")
+    _check_gamma(g)
     return _scalar_or_array(_torque_coefficient(ct, g, geom.figure_of_merit, geom.radius, env.air_density))
 
 

@@ -96,6 +96,14 @@ RAW_SPEC = {
 STEADY_COLUMNS = tuple(STEADY_SPEC)
 GAMMA_COLUMNS = tuple(GAMMA_SPEC)
 
+# the parameter file: each section's model class and {JSON key: field name}
+_SECTIONS = {
+    "geometry": (PropellerGeometry, {"radius_m": "radius", "figure_of_merit": "figure_of_merit",
+                                     "blade_coeffs": "blade_coeffs"}),
+    "ceiling": (CeilingParams, {"asymmetry": "asymmetry", "recirculation": "recirculation"}),
+    "motor": (MotorParams, {"resistance_ohm": "resistance", "back_emf_v_s_per_rad": "back_emf"}),
+}
+
 
 class DataFormatError(ValueError):
     """A file does not match the expected schema; the message names row and column."""
@@ -573,23 +581,10 @@ class ParamSet:
 def write_params(params: ParamSet, path) -> None:
     """Write a parameter set as schema-versioned JSON (deterministic bytes)."""
     doc = {"schema_version": SCHEMA_VERSION}
-    if params.geometry is not None:
-        g = params.geometry
-        doc["geometry"] = {
-            "radius_m": g.radius,
-            "figure_of_merit": g.figure_of_merit,
-            "blade_coeffs": list(g.blade_coeffs) if g.blade_coeffs is not None else None,
-        }
-    if params.ceiling is not None:
-        doc["ceiling"] = {
-            "asymmetry": params.ceiling.asymmetry,
-            "recirculation": params.ceiling.recirculation,
-        }
-    if params.motor is not None:
-        doc["motor"] = {
-            "resistance_ohm": params.motor.resistance,
-            "back_emf_v_s_per_rad": params.motor.back_emf,
-        }
+    for section, (_, keys) in _SECTIONS.items():
+        model = getattr(params, section)
+        if model is not None:
+            doc[section] = {key: getattr(model, name) for key, name in keys.items()}
     if params.provenance:
         doc["provenance"] = params.provenance
     with _replacing(path) as fh:
@@ -608,32 +603,38 @@ def read_params(path) -> ParamSet:
         raise DataFormatError(f"{path}: top level: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
-    for key in ("geometry", "ceiling", "motor", "provenance"):
-        if key in doc and not isinstance(doc[key], dict):
-            raise DataFormatError(f"{path}: {key}: expected a JSON object")
+    for section in (*_SECTIONS, "provenance"):
+        if section in doc and not isinstance(doc[section], dict):
+            raise DataFormatError(f"{path}: {section}: expected a JSON object")
     params = ParamSet(provenance=doc.get("provenance", {}))
-    try:
-        if "geometry" in doc:
-            g = doc["geometry"]
-            coeffs = g.get("blade_coeffs")
-            params.geometry = PropellerGeometry(
-                radius=g["radius_m"],
-                figure_of_merit=g["figure_of_merit"],
-                blade_coeffs=tuple(coeffs) if coeffs is not None else None,
-            )
-        if "ceiling" in doc:
-            params.ceiling = CeilingParams(
-                asymmetry=doc["ceiling"]["asymmetry"],
-                recirculation=doc["ceiling"]["recirculation"],
-            )
-        if "motor" in doc:
-            params.motor = MotorParams(
-                resistance=doc["motor"]["resistance_ohm"],
-                back_emf=doc["motor"]["back_emf_v_s_per_rad"],
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: invalid parameter file: {exc}") from None
+    for section, (model, keys) in _SECTIONS.items():
+        if section in doc:
+            values = {name: _param_value(path, section, doc[section], key) for key, name in keys.items()}
+            try:
+                setattr(params, section, model(**values))
+            except (OverflowError, ValueError) as exc:
+                raise DataFormatError(f"{path}: invalid parameter file: {exc}") from None
     return params
+
+
+def _param_value(path, section, values, key):
+    # values[key], checked: a number is an int or a float, not a bool.  Each
+    # key holds one number, but blade_coeffs, the one optional key (fit-gamma
+    # writes a geometry before fit-blade fits it), holds null or three numbers
+    value = values.get(key)
+    if key == "blade_coeffs":
+        if value is None:
+            return None
+        if type(value) is list and len(value) == 3 and all(type(c) in (int, float) for c in value):
+            return tuple(value)
+        expected = "null or a list of three numbers"
+    elif key not in values:
+        raise DataFormatError(f"{path}: {section}: {key}: missing")
+    elif type(value) in (int, float):
+        return value
+    else:
+        expected = "a number"
+    raise DataFormatError(f"{path}: {section}: {key}: expected {expected}, got {json.dumps(value)}")
 
 
 def dataset_sha256(path) -> str:

@@ -169,6 +169,21 @@ class TestTorqueCoefficient:
             torque_coefficient(-1e-9, geom_23mm, env)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteRejected:
+    def test_torque_coefficient_thrust_coefficient(self, geom_23mm, env, bad):
+        with pytest.raises(ValueError, match="thrust coefficient must be finite and >= 0"):
+            torque_coefficient(np.array([2.9e-8, bad]), geom_23mm, env)
+
+    def test_torque_coefficient_gamma(self, geom_23mm, env, bad):
+        with pytest.raises(ValueError, match="ceiling coefficient must be positive"):
+            torque_coefficient(2.9e-8, geom_23mm, env, gamma=bad)
+
+    def test_inflow_ratio_gamma(self, geom_23mm, bad):
+        with pytest.raises(ValueError, match="ceiling coefficient must be positive"):
+            inflow_ratio(geom_23mm, np.array([1.0, bad]), 1.0)
+
+
 class TestBladeIntegrals:
     LIFT_SLOPE = 5.7
     CHORD = 0.008  # [m]

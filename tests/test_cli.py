@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import ceilprop
 from ceilprop import (
     Environment,
     ParamSet,
+    PropellerGeometry,
     aerodynamic_power,
     ceiling_coefficient,
     input_power_from_mechanical,
@@ -238,6 +240,62 @@ class TestPipeline:
         write_steady_csv(records, bad)
         assert run("fit-gamma", "--input", bad, "--out", tmp_path / "gamma.csv", "--params", tmp_path / "fit.json") == 2
         assert "torque and rotation rate must be >= 0" in capsys.readouterr().err
+
+    def test_fit_gamma_motor_params_for_records_without_torque(self, records_file, truth_file, tmp_path, capsys):
+        records = [dataclasses.replace(r, torque=None) for r in read_steady_csv(records_file)]
+        torqueless = tmp_path / "torqueless.csv"
+        write_steady_csv(records, torqueless)
+        fit, gamma_csv = tmp_path / "fit.json", tmp_path / "gamma.csv"
+        argv = ["fit-gamma", "--input", torqueless, "--out", gamma_csv, "--params", fit]
+        assert run(*argv) == 2
+        assert "records without torque need motor parameters" in capsys.readouterr().err
+        assert run(*argv, "--motor-params", truth_file) == 0
+        assert read_params(fit).geometry.figure_of_merit == pytest.approx(0.50, rel=1e-6)
+
+
+class TestParameterFileErrors:
+    """Each command that reads a parameter file names what it lacks and exits 2."""
+
+    def test_missing_parameter_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert run("predict-coeffs", "--params", missing, "--deltas", "0:1:3", "--out", tmp_path / "c.csv") == 2
+        assert f"{missing}: parameter file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--distances", "0.01:0.1:3", "--setpoints", "800:3000:4"],
+            ["predict-coeffs", "--deltas", "0:1:3"],
+        ],
+        ids=["synth", "predict-coeffs"],
+    )
+    def test_geometry_without_blade_coefficients(self, tmp_path, capsys, argv, single_prop_ceiling, bench_motor):
+        fit = tmp_path / "fit.json"
+        geometry = PropellerGeometry(radius=0.023, figure_of_merit=0.5)
+        write_params(ParamSet(geometry=geometry, ceiling=single_prop_ceiling, motor=bench_motor), fit)
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--params", fit, "--out", out) == 2
+        assert f"{fit}: geometry has no blade coefficients" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_power_saving_needs_c_tau_or_blade_coefficients(self, tmp_path, capsys, single_prop_ceiling, bench_motor):
+        fit = tmp_path / "fit.json"
+        geometry = PropellerGeometry(radius=0.023, figure_of_merit=0.5)
+        write_params(ParamSet(geometry=geometry, ceiling=single_prop_ceiling, motor=bench_motor), fit)
+        out = tmp_path / "power.csv"
+        argv = ["power-saving", "--params", fit, "--thrust", "0.0863", "--distances", "0.001:0.1:5", "--out", out]
+        assert run(*argv) == 2
+        assert "need --c-tau or geometry blade coefficients" in capsys.readouterr().err
+        assert run(*argv, "--c-tau", "1.75e-10") == 0
+
+    def test_bad_value_named_and_nothing_written(self, truth_file, tmp_path, capsys):
+        doc = json.loads(truth_file.read_text())
+        doc["geometry"]["radius_m"] = True
+        truth_file.write_text(json.dumps(doc))
+        out = tmp_path / "coeffs.csv"
+        assert run("predict-coeffs", "--params", truth_file, "--deltas", "0:1:3", "--out", out) == 2
+        assert f"{truth_file}: geometry: radius_m: expected a number, got true" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def read_table(path):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -440,6 +441,15 @@ class TestSteadyStateExtract:
         with pytest.raises(ValueError, match="shorter than"):
             steady_state_extract(stream)
 
+    def test_segment_shorter_than_window_skipped(self):
+        sizes = {"a": 3000, "b": 500, "c": 3000}
+        n = sum(sizes.values())
+        setpoint = np.concatenate([[label] * size for label, size in sizes.items()])
+        stream = make_stream(np.arange(n) / self.RATE, setpoint, constant_channels(n))
+        with pytest.warns(UserWarning, match="setpoint b: segment shorter than the averaging window; skipped"):
+            records = steady_state_extract(stream)
+        assert [r.setpoint for r in records] == ["a", "c"]
+
     def test_torqueless_stream_gives_torqueless_records(self):
         n = 3000
         stream = make_stream(np.arange(n) / self.RATE, ["a"] * n, constant_channels(n), torque=False)
@@ -770,5 +780,45 @@ class TestParamFiles:
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "fit.json"
         path.write_text('{"schema_version": 1, "ceiling": {"asymmetry": 0.5, "recirculation": 0.0}}\n')
+        with pytest.raises(DataFormatError, match="invalid parameter file"):
+            read_params(path)
+
+    @pytest.mark.parametrize(
+        "section, body, message",
+        [
+            ("geometry", '{"radius_m": true, "figure_of_merit": 0.5}', "radius_m: expected a number, got true"),
+            ("geometry", '{"radius_m": "0.023", "figure_of_merit": 0.5}', 'radius_m: expected a number, got "0.023"'),
+            ("geometry", '{"radius_m": 0.023}', "figure_of_merit: missing"),
+            ("geometry", '{"radius_m": 0.023, "figure_of_merit": 0.5, "blade_coeffs": [0.1, 0.8]}',
+             r"blade_coeffs: expected null or a list of three numbers, got \[0.1, 0.8\]"),
+            ("geometry", '{"radius_m": 0.023, "figure_of_merit": 0.5, "blade_coeffs": [0.1, 0.8, false]}',
+             "blade_coeffs: expected null or a list of three numbers"),
+            ("geometry", '{"radius_m": 0.023, "figure_of_merit": 0.5, "blade_coeffs": 0.1}',
+             "blade_coeffs: expected null or a list of three numbers, got 0.1"),
+            ("ceiling", '{"asymmetry": true, "recirculation": false}', "asymmetry: expected a number, got true"),
+            ("ceiling", '{"asymmetry": 1.6, "recirculation": null}', "recirculation: expected a number, got null"),
+            ("ceiling", '{"asymmetry": 1.6}', "recirculation: missing"),
+            ("motor", '{"resistance_ohm": [1.58], "back_emf_v_s_per_rad": 1.1e-3}', r"resistance_ohm: expected a number"),
+            ("motor", '{"resistance_ohm": 1.58}', "back_emf_v_s_per_rad: missing"),
+        ],
+    )
+    def test_bad_value_names_section_and_key(self, tmp_path, section, body, message):
+        path = tmp_path / "fit.json"
+        path.write_text(f'{{"schema_version": 1, "{section}": {body}}}\n')
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: {section}: {message}"):
+            read_params(path)
+
+    @pytest.mark.parametrize(
+        "section, body",
+        [
+            ("geometry", '{"radius_m": 0.023, "figure_of_merit": 0.5, "blade_coeffs": [NaN, 0.8, 0.0]}'),
+            ("geometry", '{"radius_m": 0.023, "figure_of_merit": 0.5, "blade_coeffs": [0.1, Infinity, 0.0]}'),
+            ("motor", '{"resistance_ohm": 1%s, "back_emf_v_s_per_rad": 1.1e-3}' % ("0" * 400)),
+        ],
+        ids=["nan-blade-coeff", "infinite-blade-coeff", "int-beyond-float"],
+    )
+    def test_out_of_range_number_is_invalid_parameter_file(self, tmp_path, section, body):
+        path = tmp_path / "fit.json"
+        path.write_text(f'{{"schema_version": 1, "{section}": {body}}}\n')
         with pytest.raises(DataFormatError, match="invalid parameter file"):
             read_params(path)

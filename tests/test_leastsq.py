@@ -143,6 +143,16 @@ class TestGaussNewton:
         with pytest.raises(ValueError):
             gauss_newton(lambda x: x, [0.0], bounds=[(1.0, -1.0)])
 
+    def test_no_descent_exit_stays_at_kink_minimum(self):
+        # r = 1 + max(x - 2, 3(2 - x)) has its minimum at the kink x = 2, where
+        # the central-difference slope is -1: the step +1 and every halving of
+        # it raise the SSE, so the first iteration takes the no-descent exit
+        residual = lambda x: np.array([1.0 + max(x[0] - 2.0, 3.0 * (2.0 - x[0]))])
+        x, report = gauss_newton(residual, [2.0], bounds=[(-10.0, 10.0)])
+        assert x[0] == 2.0
+        assert report.iterations == 1
+        assert report.residual_rms == 1.0
+
 
 class TestGridOracle:
     def test_interior_quadratic(self):
