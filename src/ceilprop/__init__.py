@@ -4,7 +4,7 @@ Models the thrust, torque, and power of a propeller spinning close beneath a
 ceiling, fits the model constants to steady-state bench data, and analyzes
 the power saved by hovering or perching near the surface.
 
-The package exports each model module's ``__all__``, in the order below.
+Re-exports each model module's ``__all__``, but not ``ceilprop.cli``.
 """
 
 from . import analysis, bemt, core, fitting, io, leastsq, motor

@@ -253,6 +253,15 @@ class TestPipeline:
         assert read_params(fit).geometry.figure_of_merit == pytest.approx(0.50, rel=1e-6)
 
 
+@pytest.fixture
+def bladeless_file(tmp_path, single_prop_ceiling, bench_motor):
+    # every section, but a geometry that fit-blade has not fitted yet
+    path = tmp_path / "fit.json"
+    geometry = PropellerGeometry(radius=0.023, figure_of_merit=0.5)
+    write_params(ParamSet(geometry=geometry, ceiling=single_prop_ceiling, motor=bench_motor), path)
+    return path
+
+
 class TestParameterFileErrors:
     """Each command that reads a parameter file names what it lacks and exits 2."""
 
@@ -269,21 +278,17 @@ class TestParameterFileErrors:
         ],
         ids=["synth", "predict-coeffs"],
     )
-    def test_geometry_without_blade_coefficients(self, tmp_path, capsys, argv, single_prop_ceiling, bench_motor):
-        fit = tmp_path / "fit.json"
-        geometry = PropellerGeometry(radius=0.023, figure_of_merit=0.5)
-        write_params(ParamSet(geometry=geometry, ceiling=single_prop_ceiling, motor=bench_motor), fit)
+    def test_geometry_without_blade_coefficients(self, bladeless_file, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
-        assert run(*argv, "--params", fit, "--out", out) == 2
-        assert f"{fit}: geometry has no blade coefficients" in capsys.readouterr().err
+        assert run(*argv, "--params", bladeless_file, "--out", out) == 2
+        assert f"{bladeless_file}: geometry has no blade coefficients" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_power_saving_needs_c_tau_or_blade_coefficients(self, tmp_path, capsys, single_prop_ceiling, bench_motor):
-        fit = tmp_path / "fit.json"
-        geometry = PropellerGeometry(radius=0.023, figure_of_merit=0.5)
-        write_params(ParamSet(geometry=geometry, ceiling=single_prop_ceiling, motor=bench_motor), fit)
-        out = tmp_path / "power.csv"
-        argv = ["power-saving", "--params", fit, "--thrust", "0.0863", "--distances", "0.001:0.1:5", "--out", out]
+    def test_power_saving_needs_c_tau_or_blade_coefficients(self, bladeless_file, tmp_path, capsys):
+        argv = [
+            "power-saving", "--params", bladeless_file, "--thrust", "0.0863",
+            "--distances", "0.001:0.1:5", "--out", tmp_path / "power.csv",
+        ]
         assert run(*argv) == 2
         assert "need --c-tau or geometry blade coefficients" in capsys.readouterr().err
         assert run(*argv, "--c-tau", "1.75e-10") == 0
