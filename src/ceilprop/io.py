@@ -3,9 +3,10 @@
 Every CSV table (UTF-8, LF, '.' decimal) is declared once, as a column spec
 mapping each column name to the kind of its cells, and is read by
 _read_table and written by _write_table.  _read_table parses a body with
-numpy's C tokenizer and falls back to the csv module for a body that the
-tokenizer might read differently.  The steady-state table holds one row per
-setpoint:
+one np.loadtxt into a table allocated once, a text cell into a 16-byte field
+that is decoded once per run of equal cells, and falls back to the csv module
+for a body that this C path might read differently.  The steady-state table
+holds one row per setpoint:
 
     config_id,radius_m,prop_count,spacing_m,distance_m,setpoint,
     voltage_v,current_a,thrust_n,torque_nm,omega_rad_s
@@ -150,64 +151,100 @@ def _check_cell(raw: str, kind: str, row: int, column: str, path) -> None:
         raise DataFormatError(f"{path}: row {row}, column {column}: expected an integer, got {raw!r}")
 
 
-_SCAN_BYTES = 1 << 20
+_SCAN_BYTES = 1 << 16  # larger chunks raise the peak memory of a read
 # a NUL ends numpy's text cell, and its float parser strips \x1c-\x1f around
 # a number as whitespace where float() rejects the cell
 _DECLINED_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_LABEL_BYTES = 16  # the bytes field of a text cell on the C path
 
 
 def _plain_body_lines(path):
     # the number of lines below the header, or None when the file is not a
     # regular one or holds a byte of _DECLINED_BYTES, a CR outside a CRLF or a
-    # blank line (numpy's tokenizer skips it, so its row numbers would shift)
+    # blank line (numpy's tokenizer skips it, so its row numbers would shift,
+    # and loadtxt warns of it when given max_rows)
     if not stat.S_ISREG(os.stat(path).st_mode):
         return None
-    lines, tail = 0, b""
+    lines, last, tail = 0, -2, b""  # last: the previous LF's offset from the chunk's start
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_BYTES):
             window = tail + chunk  # the last two bytes before the chunk, for a pattern across the seam
-            if any(byte in chunk for byte in _DECLINED_BYTES) or b"\n\n" in window:
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10)
+            if any(byte in chunk for byte in _DECLINED_BYTES) or np.any(np.diff(ends, prepend=last) == 1):
                 return None
             if b"\r" in window and (
                 b"\n\r\n" in window or window.count(b"\r") != window.count(b"\r\n") + window.endswith(b"\r")
             ):
                 return None
-            lines += chunk.count(b"\n")
+            last = (ends[-1] if ends.size else last) - len(chunk)
+            lines += ends.size
             tail = window[-2:]
     if tail.endswith(b"\r"):
         return None
     return lines - tail.endswith(b"\n")
 
 
+def _labels(table, name):
+    # the bytes field name of table as a str array, decoding only the first
+    # cell of each run of equal cells (compared as 8-byte words).  Labels that
+    # fit are written over the field itself, so no second array is allocated.
+    # ValueError if a cell fills the field (it may have been cut) or is not ASCII
+    n, offset = len(table), table.dtype.fields[name][1]
+    words = np.ndarray((n, _LABEL_BYTES // 8), np.uint64, table, offset, (table.itemsize, 8))
+    head = np.r_[True, np.any(words[1:] != words[:-1], axis=1)]
+    labels = [cell.decode("ascii") for cell in table[name][head].tolist()]
+    width = max(map(len, labels)) or 1  # np.array([""]) is U1
+    if width == _LABEL_BYTES:
+        raise ValueError(f"a cell of column {name} may have been cut")
+    labels = np.array(labels, f"U{width}")
+    fits = 4 * width <= _LABEL_BYTES  # a str character takes four bytes
+    out = np.ndarray(n, labels.dtype, table, offset, (table.itemsize,)) if fits else np.empty(n, labels.dtype)
+    run = np.cumsum(head)  # each cell's run, counted from 1
+    run -= 1
+    for start in range(0, n, _BLOCK):  # np.take buffers a strided out whole, so a block at a time
+        np.take(labels, run[start : start + _BLOCK], out=out[start : start + _BLOCK])
+    return out
+
+
 def _parse_plain(fh, header, spec, lines):
-    # the body through numpy's C tokenizer in one pass: every cell as a float,
-    # a text cell as its index among the distinct cells of its column.  None
-    # if the tokenizer rejects a cell (float() may read it) or does not find
-    # one row per line and one cell per header column.  The encoding is given
-    # because numpy 1.x would otherwise hand the converters bytes, not str
-    labels = {j: {} for j, name in enumerate(header) if spec[name] == TEXT}
-    converters = {j: (lambda cell, seen=seen: seen.setdefault(cell, len(seen))) for j, seen in labels.items()}
+    # the body through numpy's C tokenizer in one pass, into a table allocated
+    # once: a text cell into a bytes field, every other cell as a float.  None
+    # if the tokenizer rejects a cell (float() may read it), does not find one
+    # row per line and one cell per header column, or _labels rejects a cell
+    dtype = [(name, f"S{_LABEL_BYTES}" if spec[name] == TEXT else "f8") for name in header]
     try:
         table = np.loadtxt(
-            fh, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2, converters=converters, encoding="utf-8"
+            fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, max_rows=lines, ndmin=1
         )
+        if table.shape != (lines,):
+            return None
+        columns = {}
+        for name, kind in spec.items():
+            if kind == TEXT:
+                columns[name] = _labels(table, name)
+            elif kind == INT:
+                columns[name] = _integers(table[name].tolist())
+            else:
+                columns[name] = table[name]
     except ValueError:
         return None
-    if table.shape != (lines, len(header)):
-        return None
-    columns = {}
-    for name, kind in spec.items():
-        j = header.index(name)
-        if kind == TEXT:
-            columns[name] = np.array(list(labels[j]))[table[:, j].astype(np.intp)]
-        elif kind == INT:
-            try:
-                columns[name] = _integers(table[:, j].tolist())
-            except ValueError:
-                return None
-        else:
-            columns[name] = table[:, j]
     return columns
+
+
+def _not_utf8(path, reason):
+    # the DataFormatError for a CSV file that is not UTF-8, naming the line of
+    # its first bad byte: the decoder placed it only within the chunk it was
+    # decoding, so a regular file is read again to find it
+    data = b""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return DataFormatError(f"{path}: line {line}: not UTF-8: byte {data[exc.start]:#04x}")
+    return DataFormatError(f"{path}: not UTF-8: {reason}")
 
 
 def _read_table(path, spec):
@@ -218,7 +255,8 @@ def _read_table(path, spec):
     FLOAT_OR_EMPTY and TEXT columns come back as float64 and str arrays from
     the C path, and as lists from the csv path (None for an empty
     FLOAT_OR_EMPTY cell).  Blank rows are skipped; a bad header or cell count
-    raises DataFormatError naming the row.  fault is None, or the
+    raises DataFormatError naming the row, and a file that is not UTF-8 one
+    naming the line of its first bad byte.  fault is None, or the
     DataFormatError naming the first cell in file order that does not parse,
     and then the columns hold only the rows before that cell's row: the caller
     checks their values first and raises fault if they pass, so the first bad
@@ -229,34 +267,38 @@ def _read_table(path, spec):
     tokenizer might not read the same: an empty body; a file that is not a
     regular one, or holds a NUL, a byte from \x1c to \x1f, a CR outside a
     CRLF or a blank line; a cell the tokenizer rejects (a bad or empty cell,
-    or one that only float() reads, such as '1_0'); or a row count or cell
-    count that differs from the line count and the header (a quoted line
-    break, a short or long row).  Only the csv path names a faulty cell.
+    or one that only float() reads, such as '1_0'); a text cell of 16 bytes
+    or more, or one that is not ASCII; or a row count or cell count that
+    differs from the line count and the header (a quoted line break, a short
+    or long row).  Only the csv path names a faulty cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        _check_header(header, spec, path)
-        lines = _plain_body_lines(path)
-        if lines:
-            fh.seek(0)
-            columns = _parse_plain(fh, header, spec, lines)
-            if columns is not None:
-                return columns, range(2, 2 + lines), None
-            fh.seek(0)
-            next(reader)
-        width = len(header)
-        rows, blank = [], []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                blank.append(row_num)
-            elif len(row) != width:
-                raise DataFormatError(f"{path}: row {row_num}: expected {width} cells, got {len(row)}")
-            else:
-                rows.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file, expected a header row") from None
+            _check_header(header, spec, path)
+            lines = _plain_body_lines(path)
+            if lines:
+                fh.seek(0)
+                columns = _parse_plain(fh, header, spec, lines)
+                if columns is not None:
+                    return columns, range(2, 2 + lines), None
+                fh.seek(0)
+                next(reader)
+            width = len(header)
+            rows, blank = [], []
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    blank.append(row_num)
+                elif len(row) != width:
+                    raise DataFormatError(f"{path}: row {row_num}: expected {width} cells, got {len(row)}")
+                else:
+                    rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc.reason) from None
     numbers = range(2, 2 + len(rows) + len(blank))
     if blank:
         numbers = np.setdiff1d(numbers, blank)
@@ -316,7 +358,7 @@ def _replacing(path):
         raise
 
 
-_BLOCK = 4096  # rows formatted at a time, which bounds the memory a write takes
+_BLOCK = 4096  # rows formatted or copied at a time, which bounds the memory a write or read takes
 
 
 def _quote(cell) -> str:
@@ -593,22 +635,34 @@ def write_params(params: ParamSet, path) -> None:
 
 
 def read_params(path) -> ParamSet:
-    """Read a parameter file written by write_params."""
+    """Read a parameter file written by write_params.
+
+    A section or key the file format does not declare, or a file that is not
+    UTF-8, raises DataFormatError naming it; provenance is free-form.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise DataFormatError(f"{path}: not UTF-8: byte {byte:#04x} at offset {exc.start}") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: top level: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
-    for section in (*_SECTIONS, "provenance"):
-        if section in doc and not isinstance(doc[section], dict):
+    for section in doc:
+        if section not in (*_SECTIONS, "provenance", "schema_version"):
+            raise DataFormatError(f"{path}: {section}: unknown section")
+        if section != "schema_version" and not isinstance(doc[section], dict):
             raise DataFormatError(f"{path}: {section}: expected a JSON object")
     params = ParamSet(provenance=doc.get("provenance", {}))
     for section, (model, keys) in _SECTIONS.items():
         if section in doc:
+            for key in doc[section]:
+                if key not in keys:
+                    raise DataFormatError(f"{path}: {section}: {key}: unknown key")
             values = {name: _param_value(path, section, doc[section], key) for key, name in keys.items()}
             try:
                 setattr(params, section, model(**values))

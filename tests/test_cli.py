@@ -303,6 +303,30 @@ class TestParameterFileErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"blade_coeffs"', '"blade_coefs"', "geometry: blade_coefs: unknown key"),
+            ('"motor"', '"motors"', "motors: unknown section"),
+        ],
+        ids=["key", "section"],
+    )
+    def test_unknown_name_exits_2_and_keeps_the_file(self, records_file, truth_file, capsys, old, new, message):
+        # fit-motor rewrites the file, which would drop what it does not know
+        truth_file.write_text(truth_file.read_text().replace(old, new))
+        before = truth_file.read_bytes()
+        assert run("fit-motor", "--input", records_file, "--params", truth_file) == 2
+        assert capsys.readouterr().err == f"error: {truth_file}: {message}\n"
+        assert truth_file.read_bytes() == before
+
+    def test_parameter_file_not_utf8_named(self, truth_file, tmp_path, capsys):
+        truth_file.write_bytes(b"\xff\xfe" + truth_file.read_bytes())
+        out = tmp_path / "coeffs.csv"
+        assert run("predict-coeffs", "--params", truth_file, "--deltas", "0:1:3", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {truth_file}: not UTF-8: byte 0xff at offset 0\n"
+        assert not out.exists()
+
+
 def read_table(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
@@ -448,6 +472,17 @@ class TestExtract:
         records = read_steady_csv(out)
         assert [r.setpoint for r in records] == ["a", "b"]
         assert records[1].thrust == pytest.approx(0.08)
+
+
+class TestUndecodableTable:
+    def test_steady_csv_not_utf8_names_file_and_line(self, records_file, tmp_path, capsys):
+        lines = records_file.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b",", b",\xff", 1)
+        bad, fit = tmp_path / "bad.csv", tmp_path / "fit.json"
+        bad.write_bytes(b"\n".join(lines))
+        assert run("fit-motor", "--input", bad, "--params", fit) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8: byte 0xff\n"
+        assert not fit.exists()
 
 
 class TestFitMotorOneRig:

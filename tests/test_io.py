@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ceilprop import (
 import ceilprop.io
 from ceilprop.io import GAMMA_COLUMNS, STEADY_COLUMNS, _moving_stats
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 RAW_HEADER = "time_s,setpoint,voltage_v,current_a,thrust_n,torque_nm,omega_rad_s"
 STEADY_ROW = "c,0.023,1,0.0,0.01,s0,3.0,1.0,0.05,1e-4,2000.0"
 
@@ -225,6 +227,17 @@ class TestSteadyCsv:
         monkeypatch.setattr(ceilprop.io, "_BLOCK", 7)  # 1008 rows: 144 blocks
         write_steady_csv(thousand_records, path)
         assert path.read_bytes() == steady_reference(thousand_records)
+
+    @pytest.mark.parametrize("line", [1, 2, 3000])
+    def test_not_utf8_names_line(self, tmp_path, line):
+        # the decoder fails on a whole chunk of the file, so line 3000 lies
+        # past the first chunk and line 2 within it
+        lines = [",".join(STEADY_COLUMNS)] + [STEADY_ROW.replace("s0", f"s{i}") for i in range(3000)]
+        lines[line - 1] = lines[line - 1].replace("c", "c\udcff", 1)
+        path = tmp_path / "steady.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line {line}: not UTF-8: byte 0xff$"):
+            read_steady_csv(path)
 
     @pytest.mark.parametrize("torque", ["\x1c1e-4", "1e-4\x1f"])
     def test_cell_with_separator_byte_named(self, tmp_path, torque):
@@ -590,16 +603,25 @@ RAW_NUMBERS = st.one_of(FINITE.map(repr), st.sampled_from([" 1.5 ", "1_0", "\u06
 RAW_COLUMNS = RAW_HEADER.split(",")
 
 
+# setpoints around the C path's 16-byte label field: 5, 15 and 16 bytes, two
+# sharing their first 8 bytes, longer ones, and non-ASCII letters; a label
+# that fills the field or is not ASCII sends a log to the csv path
+LONG_SETPOINTS = st.sampled_from(
+    ["sp-01", "sp-0123456789ab", "sp-0123456789ac", "sp-0123456789abc", "setpoint-0123456789", "é", "sp€"]
+)
+
+
 @st.composite
 def raw_logs(draw):
     """The text of a raw log, written by csv.writer (so setpoints holding a
     comma, quote or line break are quoted) with LF or CRLF line ends.  Half
     the logs are plain: they hold no blank row, line break in a setpoint,
     empty torque column or cell such as '1_0', which send a log to the csv
-    path."""
+    path; a long or non-ASCII setpoint may still send a plain log there."""
     plain = draw(st.booleans())
     numbers = st.one_of(FINITE.map(repr), st.just(" 1.5 ")) if plain else RAW_NUMBERS
-    setpoints = st.text(alphabet=st.sampled_from('ab ,"' if plain else 'ab ,"\n'), max_size=4)
+    short = st.text(alphabet=st.sampled_from('ab ,"' if plain else 'ab ,"\n'), max_size=4)
+    setpoints = st.one_of(short, LONG_SETPOINTS)
     n = draw(st.integers(1, 5))
     no_torque = not plain and draw(st.booleans())
     blank = set() if plain else draw(st.sets(st.integers(0, n), max_size=2))
@@ -628,6 +650,17 @@ def raw_oracle(text):
     return out
 
 
+def campaign_log(path):
+    """Write a log shaped like a bench campaign's to path: 64k rows at 1 kHz,
+    16 setpoints, 7-digit samples."""
+    n = 64_000
+    rng = np.random.default_rng(3)
+    channels = np.array([3.0, 1.0, 0.05, 1e-4, 2000.0]) * (1.0 + 0.005 * rng.standard_normal((n, 5)))
+    table = np.column_stack([np.arange(n) / 1000.0, np.arange(n) * 16 // n, channels])
+    np.savetxt(path, table, fmt="%.3f,sp%02d,%.7g,%.7g,%.7g,%.7g,%.7g", header=RAW_HEADER, comments="")
+    return path
+
+
 class TestRawCsvParsers:
     @PROPERTY
     @given(raw_logs())
@@ -635,6 +668,12 @@ class TestRawCsvParsers:
     @example(RAW_HEADER + '\r\n0.0,"a,b", 1.5 ,1.0,0.05,0.0,5e-324\r\n')
     @example(RAW_HEADER + "\n0.0,a,1_0,\u0661,0.05,,2.0\n\n0.001,b,3.0,1.0,0.05,,2.0\n")
     @example(RAW_HEADER + '\n0.0,"a\nb",3.0,1.0,0.05,0.0001,2000.0\n')
+    @example(RAW_HEADER + "".join(f"\n{i / 1000.0},{s},3.0,1.0,0.05,0.0001,2000.0" for i, s in enumerate(
+        ["sp-0123456789ab", "sp-0123456789ab", "sp-0123456789ac", "sp-01", "sp-01", "", "b"])) + "\n")
+    @example(RAW_HEADER + "".join(f"\n{i / 1000.0},{s},3.0,1.0,0.05,0.0001,2000.0" for i, s in enumerate(
+        ["sp-0123456789ab", "sp-0123456789abc", "setpoint-0123456789"])) + "\n")
+    @example(RAW_HEADER + "\n0.0,a,3.0,1.0,0.05,0.0001,2000.0\n0.001,é,3.0,1.0,0.05,0.0001,2000.0\n")
+    @example(RAW_HEADER + "\n0.0,sp€,3.0,1.0,0.05,0.0001,2000.0\n")
     def test_read_equals_csv_reader_and_float(self, tmp_path, text):
         path = tmp_path / "raw.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -652,15 +691,10 @@ class TestRawCsvParsers:
             assert repr(got[name].tolist()) == repr(values.tolist()), name  # repr also tells -0.0 from 0.0
 
     def test_read_memory_stays_near_file_size(self, tmp_path):
-        # a log shaped like a bench campaign's: 64k rows at 1 kHz, 16
-        # setpoints, 7-digit samples; holding every row as a list of strings
-        # before parsing peaked at about ten times the file
+        # holding every row as a list of strings before parsing peaked at
+        # about ten times the file
+        path = campaign_log(tmp_path / "raw.csv")
         n = 64_000
-        rng = np.random.default_rng(3)
-        channels = np.array([3.0, 1.0, 0.05, 1e-4, 2000.0]) * (1.0 + 0.005 * rng.standard_normal((n, 5)))
-        table = np.column_stack([np.arange(n) / 1000.0, np.arange(n) * 16 // n, channels])
-        path = tmp_path / "raw.csv"
-        np.savetxt(path, table, fmt="%.3f,sp%02d,%.7g,%.7g,%.7g,%.7g,%.7g", header=RAW_HEADER, comments="")
         tracemalloc.start()
         try:
             stream = read_raw_csv(path, radius=0.023, distance=0.01)
@@ -670,6 +704,20 @@ class TestRawCsvParsers:
         assert len(stream.time) == n and stream.setpoint[-1] == "sp15"
         assert stream.setpoint.dtype.kind == "U"  # labels are str, not the bytes of numpy 1.x converters
         assert peak < 3 * path.stat().st_size
+
+    @pytest.mark.parametrize("kind", ["campaign log", "bundled steady table"])
+    def test_plain_files_skip_the_csv_path(self, tmp_path, monkeypatch, kind):
+        # a file that falls back to the csv path reads the same values, only
+        # slower, so the path taken is checked here
+        def csv_path(cells, kind):
+            raise AssertionError("body read by the csv path")
+
+        monkeypatch.setattr(ceilprop.io, "_parse_column", csv_path)
+        if kind == "campaign log":
+            assert read_raw_csv(campaign_log(tmp_path / "raw.csv"), radius=0.023, distance=0.01).setpoint[-1] == "sp15"
+        else:
+            table = read_steady_csv(DATA / "steady_23mm_synthetic.csv")
+            assert len(table) == 1088 and table.config_id[0] == "synth-23mm"
 
 
 JSON_VALUES = st.recursive(
@@ -775,6 +823,34 @@ class TestParamFiles:
         path = tmp_path / "fit.json"
         path.write_text(text + "\n")
         with pytest.raises(DataFormatError, match=f"{key}: expected a JSON object"):
+            read_params(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"schema_version": 1, "motors": {}}', "motors: unknown section"),
+            ('{"schema_version": 1, "geometry": {"radius_m": 0.023, "figure_of_merit": 0.5, "blade_coefs": null}}',
+             "geometry: blade_coefs: unknown key"),
+            ('{"schema_version": 1, "ceiling": {"asymmetry": 1.6, "recirculation": 0.0, "a1": 0.0}}',
+             "ceiling: a1: unknown key"),
+        ],
+    )
+    def test_unknown_section_or_key_named(self, tmp_path, text, message):
+        # a misspelt key would otherwise be dropped when a fit writes the file back
+        path = tmp_path / "fit.json"
+        path.write_text(text + "\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_params(path)
+
+    def test_provenance_stays_free_form(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_text('{"schema_version": 1, "provenance": {"anything": {"nested": [1, "x"]}}}\n')
+        assert read_params(path).provenance == {"anything": {"nested": [1, "x"]}}
+
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_bytes(b'\xff\xfe{"schema_version": 1}\n')
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not UTF-8: byte 0xff at offset 0$"):
             read_params(path)
 
     def test_invalid_values_rejected(self, tmp_path):
