@@ -190,8 +190,8 @@ def _labels(table, name):
     # fit are written over the field itself, so no second array is allocated.
     # ValueError if a cell fills the field (it may have been cut) or is not ASCII
     n, offset = len(table), table.dtype.fields[name][1]
-    words = np.ndarray((n, _LABEL_BYTES // 8), np.uint64, table, offset, (table.itemsize, 8))
-    head = np.r_[True, np.any(words[1:] != words[:-1], axis=1)]
+    lo, hi = np.ndarray((2, n), np.uint64, table, offset, (8, table.itemsize))  # the field's two words
+    head = np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
     labels = [cell.decode("ascii") for cell in table[name][head].tolist()]
     width = max(map(len, labels)) or 1  # np.array([""]) is U1
     if width == _LABEL_BYTES:
