@@ -302,7 +302,6 @@ class TestParameterFileErrors:
         assert f"{truth_file}: geometry: radius_m: expected a number, got true" in capsys.readouterr().err
         assert not out.exists()
 
-
     @pytest.mark.parametrize(
         "old, new, message",
         [
