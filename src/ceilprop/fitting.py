@@ -76,11 +76,11 @@ _FIELDS = tuple(f.name for f in fields(SteadyRecord) if f.init)
 
 
 class _RowError(ValueError):
-    """A value SteadyRecord rejects; row is its index in the columns checked."""
+    """A value a table's model rejects, at index row of the columns checked, in column if given."""
 
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
+    def __init__(self, row: int, message: str, column: str | None = None):
+        super().__init__(message if column is None else f"{column}[{row}]: {message}")
+        self.row, self.message, self.column = row, message, column
 
 
 # (field, rule) in the order SteadyRecord checks them

@@ -36,6 +36,8 @@ import stat
 import sys
 import warnings
 from dataclasses import dataclass, field
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 
@@ -139,16 +141,16 @@ def _parse_column(cells, kind):
     return _integers(list(map(float, cells)))
 
 
-def _check_cell(raw: str, kind: str, row: int, column: str, path) -> None:
-    # one cell, tested as _parse_column tests it; raises the DataFormatError that names it
+def _check_cell(raw: str, kind: str, i: int, column: str) -> None:
+    # one cell of row i, tested as _parse_column tests it; raises the _RowError that names it
     if kind == TEXT or (kind == FLOAT_OR_EMPTY and not raw.strip()):
         return
     try:
         value = float(raw)
     except ValueError:
-        raise DataFormatError(f"{path}: row {row}, column {column}: could not parse {raw!r}") from None
+        raise _RowError(i, f"could not parse {raw!r}", column) from None
     if kind == INT and not value.is_integer():
-        raise DataFormatError(f"{path}: row {row}, column {column}: expected an integer, got {raw!r}")
+        raise _RowError(i, f"expected an integer, got {raw!r}", column)
 
 
 _SCAN_BYTES = 1 << 16  # larger chunks raise the peak memory of a read
@@ -233,34 +235,33 @@ def _parse_plain(fh, header, spec, lines):
 
 def _not_utf8(path, reason):
     # the DataFormatError for a CSV file that is not UTF-8, naming the line of
-    # its first bad byte: the decoder placed it only within the chunk it was
+    # its first bad byte, and the text above that line ("" if the file cannot
+    # be read again): the decoder placed the byte only within the chunk it was
     # decoding, so a regular file is read again to find it
-    data = b""
-    if stat.S_ISREG(os.stat(path).st_mode):
-        with open(path, "rb") as fh:
-            data = fh.read()
+    data = Path(path).read_bytes() if stat.S_ISREG(os.stat(path).st_mode) else b""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return DataFormatError(f"{path}: line {line}: not UTF-8: byte {data[exc.start]:#04x}")
-    return DataFormatError(f"{path}: not UTF-8: {reason}")
+        start = data.rfind(b"\n", 0, exc.start) + 1  # the offset of the bad byte's line
+        line = data.count(b"\n", 0, start) + 1
+        return DataFormatError(f"{path}: line {line}: not UTF-8: byte {data[exc.start]:#04x}"), data[:start].decode()
+    return DataFormatError(f"{path}: not UTF-8: {reason}"), ""
 
 
-def _read_table(path, spec):
-    """Read the CSV table that spec declares, checking header, cell counts and cells.
+def _read_table(path, spec, build):
+    """Read the CSV table that spec declares and return build(columns).
 
-    Returns ({column name: cells}, file row number of each row, fault).  FLOAT
-    columns come back as float64 arrays and INT columns as lists of int.
-    FLOAT_OR_EMPTY and TEXT columns come back as float64 and str arrays from
-    the C path, and as lists from the csv path (None for an empty
-    FLOAT_OR_EMPTY cell).  Blank rows are skipped; a bad header or cell count
-    raises DataFormatError naming the row, and a file that is not UTF-8 one
-    naming the line of its first bad byte.  fault is None, or the
-    DataFormatError naming the first cell in file order that does not parse,
-    and then the columns hold only the rows before that cell's row: the caller
-    checks their values first and raises fault if they pass, so the first bad
-    row of the file is the one named.
+    columns maps each column of spec, in its order, to its cells: FLOAT
+    columns as float64 arrays and INT columns as lists of int; FLOAT_OR_EMPTY
+    and TEXT columns as float64 and str arrays from the C path, and as lists
+    from the csv path (None for an empty FLOAT_OR_EMPTY cell).  build raises
+    _RowError(i, message[, column]) for the first value it rejects, i the
+    index of its row in columns.  A bad header, or a non-UTF-8 byte in the
+    header line, raises DataFormatError at once.  Blank rows are skipped but
+    counted.  Of the other rows, the first bad one is named, whatever its
+    fault: a wrong cell count, a cell that does not parse, a non-UTF-8 byte
+    (named by its line) or a value that build rejects; build is given only
+    the rows above the first row that does not read.
 
     The C path parses the body with numpy's C tokenizer.  The csv path
     (csv.reader, then float() on each cell) reads it instead wherever the
@@ -274,50 +275,66 @@ def _read_table(path, spec):
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError(f"{path}: empty file, expected a header row") from None
-            _check_header(header, spec, path)
-            lines = _plain_body_lines(path)
-            if lines:
-                fh.seek(0)
-                columns = _parse_plain(fh, header, spec, lines)
-                if columns is not None:
-                    return columns, range(2, 2 + lines), None
-                fh.seek(0)
-                next(reader)
-            width = len(header)
-            rows, blank = [], []
-            for row_num, row in enumerate(reader, start=2):
-                if not row:
-                    blank.append(row_num)
-                elif len(row) != width:
-                    raise DataFormatError(f"{path}: row {row_num}: expected {width} cells, got {len(row)}")
-                else:
-                    rows.append(row)
+            return _read_rows(fh, path, spec, build)
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc.reason) from None
-    numbers = range(2, 2 + len(rows) + len(blank))
-    if blank:
-        numbers = np.setdiff1d(numbers, blank)
-    index = {name: header.index(name) for name in spec}
+        fault, head = _not_utf8(path, exc.reason)
+    if head:
+        _read_rows(StringIO(head, newline=""), path, spec, build, fault)
+    raise fault
 
-    def parse(rows):
-        return {name: _parse_column([row[index[name]] for row in rows], kind) for name, kind in spec.items()}
 
+def _read_rows(fh, path, spec, build, fault=None):
+    # _read_table on the open text fh; with fault, the DataFormatError of the
+    # non-UTF-8 line below fh's text, the csv path reads fh and raises fault
+    reader = csv.reader(fh)
     try:
-        return parse(rows), numbers, None
-    except ValueError:
-        # parse cell by cell only now, to name the first bad one
-        for i, row in enumerate(rows):
-            try:
-                for name, kind in spec.items():
-                    _check_cell(row[index[name]], kind, numbers[i], name, path)
-            except DataFormatError as fault:
-                return parse(rows[:i]), numbers[:i], fault
-        raise
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file, expected a header row") from None
+    _check_header(header, spec, path)
+    lines = None if fault else _plain_body_lines(path)
+    columns, numbers = None, range(2, 2 + (lines or 0))
+    if lines:
+        fh.seek(0)
+        if (columns := _parse_plain(fh, header, spec, lines)) is None:
+            fh.seek(0)  # back to the body, for the csv path
+            next(reader)
+    if columns is None:
+        rows, numbers = [], []  # the rows above the first that does not read, and each one's file row
+        for row_num, row in enumerate(reader, start=2):
+            if row:
+                numbers.append(row_num)
+                if len(row) != len(header):
+                    fault = _RowError(len(rows), f"expected {len(header)} cells, got {len(row)}")
+                    break
+                rows.append(row)
+        index = {name: header.index(name) for name in spec}
+
+        def parse(rows):
+            return {name: _parse_column([row[index[name]] for row in rows], kind) for name, kind in spec.items()}
+
+        try:
+            columns = parse(rows)
+        except ValueError:
+            try:  # parse cell by cell only now, to name the first bad one
+                for i, row in enumerate(rows):
+                    for name, kind in spec.items():
+                        _check_cell(row[index[name]], kind, i, name)
+            except _RowError as exc:
+                fault, rows = exc, rows[: exc.row]
+            columns = parse(rows)
+    try:
+        if fault is None:
+            return build(columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the rows are only judged, as the file is rejected
+            build(columns)
+    except _RowError as exc:
+        fault = exc
+    if isinstance(fault, _RowError):
+        column = "" if fault.column is None else f", column {fault.column}"
+        fault = DataFormatError(f"{path}: row {numbers[fault.row]}{column}: {fault.message}")
+    raise fault
 
 
 def _is_stdout(path) -> bool:
@@ -391,22 +408,6 @@ def _write_table(path, spec, columns) -> None:
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def _records(cls, path, columns, numbers, fault=None) -> list:
-    # one cls(*row) per row (the spec lists its columns in cls's field order);
-    # a value that cls rejects names its row, and fault, the fault of the row
-    # after the last one given, is raised if every given row passes
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    out = []
-    for row_num, *values in zip(numbers, *cells):
-        try:
-            out.append(cls(*values))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_num}: {exc}") from None
-    if fault is not None:
-        raise fault
-    return out
-
-
 def write_steady_csv(records, path) -> None:
     """Write steady records (a SteadyTable or SteadyRecords) to CSV; lossless against read_steady_csv."""
     _write_table(path, STEADY_SPEC, SteadyTable.of(records).columns.values())
@@ -419,20 +420,17 @@ def read_steady_csv(path) -> SteadyTable:
     is named before a distance that is not positive, and that before a value
     that SteadyRecord rejects.
     """
-    columns, numbers, fault = _read_table(path, STEADY_SPEC)
-    distance = columns["distance_m"]
-    bad = np.flatnonzero(~(np.isfinite(distance) & (distance > 0.0)))
-    if bad.size:
-        i = bad[0]
-        columns = {name: cells[:i] for name, cells in columns.items()}
-        fault = DataFormatError(f"{path}: row {numbers[i]}, column distance_m: must be positive")
-    try:
-        table = SteadyTable(*columns.values())  # the spec lists its columns in SteadyRecord's field order
-    except _RowError as exc:
-        raise DataFormatError(f"{path}: row {numbers[exc.row]}: {exc}") from None
-    if fault is not None:
-        raise fault
-    return table
+
+    def build(columns):
+        # the spec lists its columns in SteadyRecord's field order, which checks distance first
+        try:
+            return SteadyTable(*columns.values())
+        except _RowError as exc:
+            if 0.0 < columns["distance_m"][exc.row] < math.inf:
+                raise
+            raise _RowError(exc.row, "must be positive", "distance_m") from None
+
+    return _read_table(path, STEADY_SPEC, build)
 
 
 def write_gamma_csv(points, path) -> None:
@@ -442,15 +440,30 @@ def write_gamma_csv(points, path) -> None:
 
 def read_gamma_csv(path) -> list[GammaPoint]:
     """Read ceiling-factor points written by write_gamma_csv."""
-    return _records(GammaPoint, path, *_read_table(path, GAMMA_SPEC))
+
+    def build(columns):
+        # one GammaPoint per row; the spec lists its columns in GammaPoint's field order
+        points = []
+        for i, values in enumerate(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))):
+            try:
+                points.append(GammaPoint(*values))
+            except ValueError as exc:
+                raise _RowError(i, str(exc)) from None
+        return points
+
+    return _read_table(path, GAMMA_SPEC, build)
+
+
+_CHANNELS = ("time", "setpoint", "voltage", "current", "thrust", "torque", "omega")  # RawSampleStream's, per sample
 
 
 @dataclass(frozen=True)
 class RawSampleStream:
     """Synchronized raw time series from one bench run at one ceiling distance.
 
-    Timestamps must strictly increase; sampling gaps larger than twice the
-    median interval are tolerated but flagged with a warning.
+    Samples must be finite and timestamps strictly increase, or a ValueError
+    names the channel and index of the first bad sample; sampling gaps larger
+    than twice the median interval are tolerated but flagged with a warning.
     """
 
     time: np.ndarray  # [s]
@@ -467,17 +480,28 @@ class RawSampleStream:
     spacing: float = 0.0
 
     def __post_init__(self):
-        n = len(self.time)
-        for name in ("setpoint", "voltage", "current", "thrust", "omega"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"channel {name} length does not match timestamps")
-        if self.torque is not None and len(self.torque) != n:
-            raise ValueError("channel torque length does not match timestamps")
         dt = np.diff(self.time)
-        if n >= 2 and np.any(dt <= 0.0):
-            raise ValueError("timestamps must strictly increase")
-        if n >= 3:
-            gaps = int(np.sum(dt > 2.0 * np.median(dt)))
+        first = {}  # channel: index of its first bad sample; one mask at a time, as a log may be large
+        for name in _CHANNELS:
+            channel = getattr(self, name)
+            if channel is not None and len(channel) != len(self.time):
+                raise ValueError(f"channel {name} length does not match timestamps")
+            if name == "setpoint" or channel is None:
+                continue
+            ok = np.isfinite(channel)
+            if name == "time":
+                ok[1:] &= dt > 0.0
+            if not ok.all():
+                first[name] = int(np.argmin(ok))
+        if first:
+            name = min(first, key=first.get)  # the first in row order, then in channel order
+            i = first[name]
+            value = getattr(self, name)[i]
+            if name == "time" and np.isfinite(value):
+                raise _RowError(i, f"timestamps must strictly increase, got {value} after {self.time[i - 1]}", name)
+            raise _RowError(i, f"sample must be finite, got {value}", name)
+        if len(dt) >= 2:
+            gaps = int(np.sum(dt > 2.0 * np.median(dt, overwrite_input=True)))  # the count ignores dt's order
             if gaps:
                 warnings.warn(f"{gaps} sampling gaps exceed twice the median interval")
 
@@ -485,51 +509,26 @@ class RawSampleStream:
 def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=0.0) -> RawSampleStream:
     """Read a raw acquisition CSV (time_s, setpoint, channels) into a stream.
 
-    An all-empty torque_nm column means the rig measured no torque.  A
-    non-finite sample, or a time_s not above the one before it, raises
-    DataFormatError naming its row and column; of several bad cells, the
-    first in row order, then column order, is named.
+    An all-empty torque_nm column means the rig measured no torque.  An
+    empty cell in a torque_nm column that is not all empty, or a sample that
+    RawSampleStream rejects, raises DataFormatError naming its row and
+    column; of several bad cells, the first in row order, then column order,
+    is named.
     """
-    columns, numbers, fault = _read_table(path, RAW_SPEC)
-    setpoint = np.asarray(columns.pop("setpoint"))
-    torque = columns["torque_nm"]
-    if isinstance(torque, list):  # cells read by the csv path, None where empty
-        if all(v is None for v in torque):
-            del columns["torque_nm"]
-        else:
-            columns["torque_nm"] = np.array(torque, dtype=float)  # an empty cell reads nan, caught below
-    time = columns["time_s"]
-    rising = np.r_[True, time[1:] > time[:-1]]  # each time above the one before it
-    first = {}  # column name: index of its first bad row; one mask at a time, as a log may be large
-    for name, values in columns.items():
-        ok = np.isfinite(values) & rising if name == "time_s" else np.isfinite(values)
-        if not ok.all():
-            first[name] = int(np.argmin(ok))
-    if first:
-        name = min(first, key=first.get)  # the first in row order, then in column order
-        i = first[name]
-        if name == "torque_nm" and torque[i] is None:
-            raise DataFormatError(f"{path}: row {numbers[i]}, column torque_nm: could not parse ''")
-        if name == "time_s" and np.isfinite(time[i]):
-            detail = f"timestamps must strictly increase, got {time[i]} after {time[i - 1]}"
-            raise DataFormatError(f"{path}: row {numbers[i]}, column time_s: {detail}")
-        raise DataFormatError(f"{path}: row {numbers[i]}, column {name}: sample must be finite, got {columns[name][i]}")
-    if fault is not None:
-        raise fault
-    return RawSampleStream(
-        time=columns["time_s"],
-        setpoint=setpoint,
-        voltage=columns["voltage_v"],
-        current=columns["current_a"],
-        thrust=columns["thrust_n"],
-        torque=columns.get("torque_nm"),
-        omega=columns["omega_rad_s"],
-        radius=radius,
-        distance=distance,
-        config_id=config_id,
-        prop_count=prop_count,
-        spacing=spacing,
-    )
+
+    def build(columns):
+        # the spec lists its columns in RawSampleStream's field order
+        columns["setpoint"] = np.asarray(columns["setpoint"])
+        torque = columns["torque_nm"]
+        if isinstance(torque, list):  # cells read by the csv path, None where empty
+            columns["torque_nm"] = None if all(v is None for v in torque) else np.array(torque, dtype=float)
+        try:
+            return RawSampleStream(*columns.values(), radius, distance, config_id, prop_count, spacing)
+        except _RowError as exc:  # an empty torque cell reads nan, and is named as empty
+            message = "could not parse ''" if exc.column == "torque" and torque[exc.row] is None else exc.message
+            raise _RowError(exc.row, message, dict(zip(_CHANNELS, RAW_SPEC))[exc.column]) from None
+
+    return _read_table(path, RAW_SPEC, build)
 
 
 def _moving_stats(values: np.ndarray, width: int):

@@ -5,6 +5,7 @@ import os
 import re
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,8 @@ class TestSteadyCsv:
             ([(2, "3.0", "x"), (3, "0.01", "0.0")], "row 2, column voltage_v: could not parse 'x'"),
             ([(3, "0.01", "0.0"), (3, "3.0", "x")], "row 3, column voltage_v: could not parse 'x'"),
             ([(3, "0.01", "0.0"), (3, "0.05", "-0.05")], "row 3, column distance_m: must be positive"),
+            ([(3, "0.01", "0.0"), (5, ",1.0,0.05,1e-4,2000.0", "")], "row 3, column distance_m: must be positive"),
+            ([(3, "0.01", "0.0"), (5, "2000.0", "2000.0,9")], "row 3, column distance_m: must be positive"),
         ],
     )
     def test_first_bad_row_named_whatever_its_fault(self, tmp_path, bad, message):
@@ -240,6 +243,27 @@ class TestSteadyCsv:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line {line}: not UTF-8: byte 0xff$"):
             read_steady_csv(path)
 
+    @pytest.mark.parametrize(
+        "line, old, new, message",
+        [
+            (2, ",1.0,0.05,1e-4,2000.0", "", "row 2: expected 11 cells, got 7"),
+            (40, "0.01", "0.0", "row 40, column distance_m: must be positive"),
+            (52, "3.0", "x", "row 52, column voltage_v: could not parse 'x'"),
+            (1, ",distance_m", "", "missing column: distance_m"),
+            (2, "", "", "line 53: not UTF-8: byte 0xff"),
+        ],
+        ids=["short-row", "bad-value", "bad-cell", "bad-header", "byte-only"],
+    )
+    def test_not_utf8_named_after_the_rows_above_it(self, tmp_path, line, old, new, message):
+        # the decoder rejects the whole chunk that holds line 53, with the rows above it
+        lines = [",".join(STEADY_COLUMNS)] + [STEADY_ROW.replace("s0", f"s{i}") for i in range(60)]
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+        lines[52] = lines[52].replace("c", "c\udcff", 1)
+        path = tmp_path / "steady.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            read_steady_csv(path)
+
     @pytest.mark.parametrize("torque", ["\x1c1e-4", "1e-4\x1f"])
     def test_cell_with_separator_byte_named(self, tmp_path, torque):
         # str.strip() removes \x1c-\x1f but float() rejects them
@@ -296,6 +320,13 @@ class TestGammaCsv:
         path = tmp_path / "gamma.csv"
         path.write_text("delta,gamma,stderr,n_points\n0.23,1.0,0.01,16\n0.5,-1.1,0.01,16\n1.0,x,0.01,16\n")
         with pytest.raises(DataFormatError, match="row 3: ceiling factor must be positive"):
+            read_gamma_csv(path)
+
+    @pytest.mark.parametrize("bad", ["1.0,1.1", "1.0,1.1,0.01,16,9"], ids=["short", "long"])
+    def test_bad_value_named_before_a_later_cell_count(self, tmp_path, bad):
+        path = tmp_path / "gamma.csv"
+        path.write_text(f"delta,gamma,stderr,n_points\n0.23,-1.0,0.01,16\n0.5,1.1,0.01,16\n{bad}\n")
+        with pytest.raises(DataFormatError, match="row 2: ceiling factor must be positive, got -1.0$"):
             read_gamma_csv(path)
 
     def test_symlink_target_written_link_kept(self, tmp_path):
@@ -374,6 +405,65 @@ def test_row_cell_count_checked(tmp_path, reader, header, row, extra):
     path.write_text(f"{header}\n{row}\n\n{bad}\n")
     with pytest.raises(DataFormatError, match=f"row 4: expected {len(cells)} cells, got {len(cells) + extra}"):
         reader(path)
+
+
+# (column index, cell) of each injected fault that keeps the cell count
+BAD_CELLS = {
+    ("steady", "unparsable"): [(1, "x"), (2, "1.5"), (9, "1e-4x"), (10, "")],
+    ("steady", "bad value"): [(4, "0.0"), (1, "-0.023"), (6, "nan"), (8, "-0.05"), (9, "inf"), (10, "0.0"), (2, "0")],
+    ("raw", "unparsable"): [(0, "x"), (3, "1.0.0"), (5, "0.0001x"), (6, "")],
+    ("raw", "bad value"): [(0, "nan"), (2, "nan"), (3, "inf"), (4, "-inf"), (5, "nan"), (6, "inf")],
+}
+
+
+@st.composite
+def faulty_tables(draw):
+    """A valid steady or raw table with 1 to 3 of its rows made bad, each by
+    a fault of a random kind, and blank rows as noise: (reader name, text,
+    file row of the first bad row)."""
+    kind = draw(st.sampled_from(["steady", "raw"]))
+    n = draw(st.integers(2, 12))
+    if kind == "steady":
+        header, rows = ",".join(STEADY_COLUMNS), [STEADY_ROW.replace("s0", f"s{i}").split(",") for i in range(n)]
+    else:
+        header, rows = RAW_HEADER, [f"{i / 1000.0},a,3.0,1.0,0.05,0.0001,2000.0".split(",") for i in range(n)]
+    kinds = ["short", "long", "unparsable", "bad value"] + (["not rising"] if kind == "raw" else [])
+    bad = draw(
+        st.dictionaries(st.integers(0, n - 1), st.sampled_from(kinds), min_size=1, max_size=3).filter(
+            lambda bad: bad.get(0) != "not rising"  # the first row has no time before it
+        )
+    )
+    for i, fault in sorted(bad.items()):
+        if fault == "short":
+            rows[i] = rows[i][:-1]
+        elif fault == "long":
+            rows[i] = rows[i] + ["9"]
+        elif fault == "not rising":
+            rows[i][0] = rows[i - 1][0]
+        else:
+            column, cell = draw(st.sampled_from(BAD_CELLS[kind, fault]))
+            rows[i][column] = cell
+    blanks = draw(st.lists(st.integers(0, n), max_size=3))  # a blank row before row k, or at the end
+    lines = [header]
+    for k in range(n + 1):
+        lines += [""] * blanks.count(k)
+        if k < n:
+            lines.append(",".join(rows[k]))
+            if k == min(bad):
+                first = len(lines)
+    return kind, "\n".join(lines) + "\n", first
+
+
+@settings(PROPERTY, max_examples=200)
+@given(faulty_tables())
+@example(("steady", ",".join(STEADY_COLUMNS) + f"\n{STEADY_ROW}\n{STEADY_ROW.replace('0.01', '0.0', 1)}\n1,2\n", 3))
+@example(("raw", RAW_HEADER + "\n0.0,a,3.0,1.0,0.05,1e-4,2.0\n\n0.0,a,3.0,1.0,0.05,1e-4,2.0\n0.0,a\n", 4))
+def test_first_faulty_row_named(tmp_path, table):
+    kind, text, first = table
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: row {first}[,:]"):
+        READERS[kind][0](path)
 
 
 def make_stream(time, setpoint, channels, torque=True, **config):
@@ -500,6 +590,31 @@ class TestSteadyStateExtract:
             make_stream(time, ["a"] * n, constant_channels(n))
 
 
+class TestRawSampleStream:
+    N = 3000
+
+    @pytest.mark.parametrize("channel", ["time", "voltage", "current", "thrust", "torque", "omega"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_names_channel_and_index(self, channel, value):
+        time, channels = np.arange(self.N) / 1000.0, constant_channels(self.N)
+        (time if channel == "time" else channels[channel])[1234] = value
+        with pytest.raises(ValueError, match=rf"^{channel}\[1234\]: sample must be finite, got {re.escape(str(value))}$"):
+            make_stream(time, ["a"] * self.N, channels)
+
+    def test_repeated_timestamp_names_index(self):
+        time = np.arange(self.N) / 1000.0
+        time[100] = time[99]
+        with pytest.raises(ValueError, match=r"^time\[100\]: timestamps must strictly increase, got 0.099 after 0.099$"):
+            make_stream(time, ["a"] * self.N, constant_channels(self.N))
+
+    def test_first_bad_sample_in_row_then_channel_order(self):
+        time, channels = np.arange(self.N) / 1000.0, constant_channels(self.N)
+        channels["thrust"][900], channels["omega"][700], channels["voltage"][700] = np.nan, np.inf, -np.inf
+        time[800] = time[799]
+        with pytest.raises(ValueError, match=r"^voltage\[700\]: sample must be finite, got -inf$"):
+            make_stream(time, ["a"] * self.N, channels)
+
+
 @pytest.mark.parametrize("reader, header, row", READERS.values(), ids=READERS)
 def test_repeated_column_named(tmp_path, reader, header, row):
     repeated = header.split(",")[1]
@@ -601,6 +716,8 @@ class TestRawCsv:
             ([(7, "0.006,", "0.005,"), (4, ",1.0,", ",x,")], "row 5, column current_a: could not parse 'x'"),
             ([(6, "0.005,", "0.004,"), (6, ",0.05,", ",nan,")], "row 7, column time_s: timestamps must strictly increase"),
             ([(6, "0.005,", "0.006,"), (5, ",0.05,", ",nan,")], "row 6, column thrust_n: sample must be finite"),
+            ([(2, ",3.0,", ",nan,"), (3, ",0.05,0.0001,2000.0", "")], "row 3, column voltage_v: sample must be finite"),
+            ([(2, ",3.0,", ",nan,"), (3, ",2000.0", ",2000.0,9")], "row 3, column voltage_v: sample must be finite"),
         ],
     )
     def test_first_bad_row_named_whatever_its_fault(self, tmp_path, bad, message):
@@ -610,6 +727,21 @@ class TestRawCsv:
         path = tmp_path / "raw.csv"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=message):
+            read_raw_csv(path, radius=0.023, distance=0.01)
+
+    def test_rows_above_a_fault_warn_of_no_gap(self, tmp_path):
+        # they are read only to be judged, as the log is rejected
+        lines = raw_lines()
+        lines[1000:] = [f"{float(line.split(',')[0]) + 0.5}{line[line.index(','):]}" for line in lines[1000:]]
+        lines.append("9.0,a,3.0")
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="row 2502: expected 7 cells, got 3"):
+                read_raw_csv(path, radius=0.023, distance=0.01)
+        path.write_text("\n".join(lines[:-1]) + "\n")  # the same log without its fault
+        with pytest.warns(UserWarning, match="1 sampling gaps"):
             read_raw_csv(path, radius=0.023, distance=0.01)
 
 
