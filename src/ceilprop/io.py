@@ -284,8 +284,8 @@ def _read_table(path, spec, build):
 
 
 def _read_rows(fh, path, spec, build, fault=None):
-    # _read_table on the open text fh; with fault, the DataFormatError of the
-    # non-UTF-8 line below fh's text, the csv path reads fh and raises fault
+    # _read_table on the open text fh.  Given fault, a non-UTF-8 line's DataFormatError, fh
+    # holds the text above that line: the csv path reads it, and fault is raised if its rows pass
     reader = csv.reader(fh)
     try:
         header = next(reader)
