@@ -36,8 +36,6 @@ import stat
 import sys
 import warnings
 from dataclasses import dataclass, field
-from io import StringIO
-from pathlib import Path
 
 import numpy as np
 
@@ -233,19 +231,18 @@ def _parse_plain(fh, header, spec, lines):
     return columns
 
 
-def _not_utf8(path, reason):
-    # the DataFormatError for a CSV file that is not UTF-8, naming the line of
-    # its first bad byte, and the text above that line ("" if the file cannot
-    # be read again): the decoder placed the byte only within the chunk it was
-    # decoding, so a regular file is read again to find it
-    data = Path(path).read_bytes() if stat.S_ISREG(os.stat(path).st_mode) else b""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        start = data.rfind(b"\n", 0, exc.start) + 1  # the offset of the bad byte's line
-        line = data.count(b"\n", 0, start) + 1
-        return DataFormatError(f"{path}: line {line}: not UTF-8: byte {data[exc.start]:#04x}"), data[:start].decode()
-    return DataFormatError(f"{path}: not UTF-8: {reason}"), ""
+def _utf8_lines(fh, path):
+    # the lines of fh, a file opened with errors="surrogateescape", which
+    # decodes each byte that is not UTF-8 to U+DC80-U+DCFF, a lone surrogate
+    # that UTF-8 text cannot hold; DataFormatError at the first line with one
+    for n, line in enumerate(fh, start=1):
+        if not line.isascii():  # O(1): CPython keeps the flag with the str
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise DataFormatError(f"{path}: line {n}: not UTF-8: byte {byte:#04x}") from None
+        yield line
 
 
 def _read_table(path, spec, build):
@@ -259,70 +256,65 @@ def _read_table(path, spec, build):
     index of its row in columns.  A bad header, or a non-UTF-8 byte in the
     header line, raises DataFormatError at once.  Blank rows are skipped but
     counted.  Of the other rows, the first bad one is named, whatever its
-    fault: a wrong cell count, a cell that does not parse, a non-UTF-8 byte
-    (named by its line) or a value that build rejects; build is given only
-    the rows above the first row that does not read.
+    fault: a wrong cell count, a line holding a byte that is not UTF-8
+    (named by its line, even inside a quoted cell), a cell that does not
+    parse or a value that build rejects; build is given only the rows above
+    the first row that does not read.  A line ends at an LF, a CRLF or a
+    lone CR, as a row does for the csv module.
 
     The C path parses the body with numpy's C tokenizer.  The csv path
     (csv.reader, then float() on each cell) reads it instead wherever the
     tokenizer might not read the same: an empty body; a file that is not a
     regular one, or holds a NUL, a byte from \x1c to \x1f, a CR outside a
     CRLF or a blank line; a cell the tokenizer rejects (a bad or empty cell,
-    or one that only float() reads, such as '1_0'); a text cell of 16 bytes
-    or more, or one that is not ASCII; or a row count or cell count that
-    differs from the line count and the header (a quoted line break, a short
-    or long row).  Only the csv path names a faulty cell.
+    one that only float() reads, such as '1_0', or one with a byte that is
+    not UTF-8); a text cell of 16 bytes or more, or one that is not ASCII;
+    or a row count or cell count that differs from the line count and the
+    header (a quoted line break, a short or long row).  Only the csv path
+    names a faulty cell.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _read_rows(fh, path, spec, build)
-    except UnicodeDecodeError as exc:
-        fault, head = _not_utf8(path, exc.reason)
-    if head:
-        _read_rows(StringIO(head, newline=""), path, spec, build, fault)
-    raise fault
-
-
-def _read_rows(fh, path, spec, build, fault=None):
-    # _read_table on the open text fh.  Given fault, a non-UTF-8 line's DataFormatError, fh
-    # holds the text above that line: the csv path reads it, and fault is raised if its rows pass
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: empty file, expected a header row") from None
-    _check_header(header, spec, path)
-    lines = None if fault else _plain_body_lines(path)
-    columns, numbers = None, range(2, 2 + (lines or 0))
-    if lines:
-        fh.seek(0)
-        if (columns := _parse_plain(fh, header, spec, lines)) is None:
-            fh.seek(0)  # back to the body, for the csv path
-            next(reader)
-    if columns is None:
-        rows, numbers = [], []  # the rows above the first that does not read, and each one's file row
-        for row_num, row in enumerate(reader, start=2):
-            if row:
-                numbers.append(row_num)
-                if len(row) != len(header):
-                    fault = _RowError(len(rows), f"expected {len(header)} cells, got {len(row)}")
-                    break
-                rows.append(row)
-        index = {name: header.index(name) for name in spec}
-
-        def parse(rows):
-            return {name: _parse_column([row[index[name]] for row in rows], kind) for name, kind in spec.items()}
-
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
-            columns = parse(rows)
-        except ValueError:
-            try:  # parse cell by cell only now, to name the first bad one
-                for i, row in enumerate(rows):
-                    for name, kind in spec.items():
-                        _check_cell(row[index[name]], kind, i, name)
-            except _RowError as exc:
-                fault, rows = exc, rows[: exc.row]
-            columns = parse(rows)
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file, expected a header row") from None
+        _check_header(header, spec, path)
+        lines = _plain_body_lines(path)
+        columns, fault, numbers = None, None, range(2, 2 + (lines or 0))
+        if lines:
+            fh.seek(0)
+            if (columns := _parse_plain(fh, header, spec, lines)) is None:
+                fh.seek(0)  # the csv path reads from the top, past the header
+                reader = csv.reader(_utf8_lines(fh, path))
+                next(reader)
+        if columns is None:
+            rows, numbers = [], []  # the rows above the first that does not read, and each one's file row
+            try:
+                for row_num, row in enumerate(reader, start=2):
+                    if row:
+                        numbers.append(row_num)
+                        if len(row) != len(header):
+                            fault = _RowError(len(rows), f"expected {len(header)} cells, got {len(row)}")
+                            break
+                        rows.append(row)
+            except DataFormatError as exc:  # a byte that is not UTF-8
+                fault = exc
+            index = {name: header.index(name) for name in spec}
+
+            def parse(rows):
+                return {name: _parse_column([row[index[name]] for row in rows], kind) for name, kind in spec.items()}
+
+            try:
+                columns = parse(rows)
+            except ValueError:
+                try:  # parse cell by cell only now, to name the first bad one
+                    for i, row in enumerate(rows):
+                        for name, kind in spec.items():
+                            _check_cell(row[index[name]], kind, i, name)
+                except _RowError as exc:
+                    fault, rows = exc, rows[: exc.row]
+                columns = parse(rows)
     try:
         if fault is None:
             return build(columns)

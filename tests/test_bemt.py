@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceilprop import (
     BladeProfile,
     CeilingParams,
+    Environment,
     PropellerGeometry,
     bem_thrust,
     blade_integrals,
@@ -83,6 +86,24 @@ class TestBemThrust:
         t_blade = bem_thrust(geom_23mm, v_i, omega, delta, env)
         t_momentum = 2.0 * env.air_density * geom_23mm.disc_area * gamma**2 * v_i**2
         assert t_blade == pytest.approx(t_momentum, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.01, 1.0),
+        st.floats(0.01, 2.0),
+        st.floats(0.0, 0.1),
+        st.floats(0.0, 25.0),
+        st.floats(1.0, 6.0),
+        st.floats(0.01, 0.1),
+        st.floats(100.0, 1e4),
+    )
+    def test_consistent_with_momentum_thrust_property(self, c0, c1, c2, delta, gamma, radius, omega):
+        # the largest rounding comes from c0 - c1*x cancelling when c1^2 >> 16 c0 gamma^2
+        geom = PropellerGeometry(radius=radius, figure_of_merit=0.5, blade_coeffs=(c0, c1, c2))
+        env = Environment(air_density=1.2)
+        v_i = inflow_ratio(geom, gamma, delta) * omega * radius
+        t_momentum = 2.0 * env.air_density * geom.disc_area * gamma**2 * v_i**2
+        assert bem_thrust(geom, v_i, omega, delta, env) == pytest.approx(t_momentum, rel=1e-12)
 
     def test_nonpositive_omega_rejected(self, geom_23mm, env):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceilprop import (
     CeilingParams,
@@ -43,6 +45,13 @@ class TestCeilingCoefficient:
         for asym in (1.0, 1.6, 5.0):
             g = ceiling_coefficient(deltas, CeilingParams(asym))
             assert np.all(np.diff(g) >= 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1.0, 100.0), st.lists(st.floats(0.0, 100.0), min_size=2, max_size=16))
+    def test_at_least_one_and_monotone_without_recirculation_property(self, asym, deltas):
+        g = ceiling_coefficient(np.sort(deltas), CeilingParams(asym))
+        assert np.all(g >= 1.0)
+        assert np.all(np.diff(g) >= 0.0)
 
     def test_array_input_matches_scalar(self):
         params = CeilingParams(1.6, 0.001)

@@ -264,6 +264,24 @@ class TestSteadyCsv:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             read_steady_csv(path)
 
+    @pytest.mark.parametrize("line", [1, 2, 3000])
+    def test_not_utf8_names_crlf_line(self, tmp_path, line):
+        # a CRLF ends one line, as an LF does
+        lines = [",".join(STEADY_COLUMNS)] + [STEADY_ROW.replace("s0", f"s{i}") for i in range(3000)]
+        lines[line - 1] = lines[line - 1].replace("c", "c\udcff", 1)
+        path = tmp_path / "steady.csv"
+        path.write_bytes("\r\n".join(lines).encode("utf-8", "surrogateescape") + b"\r\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line {line}: not UTF-8: byte 0xff$"):
+            read_steady_csv(path)
+
+    def test_not_utf8_in_a_quoted_cell_names_its_line(self, tmp_path):
+        # row 2's setpoint spans lines 2 and 3, and the bad byte lies on line 3
+        path = tmp_path / "steady.csv"
+        row = STEADY_ROW.replace("s0", '"s\n0\udcff"')
+        path.write_bytes(f"{','.join(STEADY_COLUMNS)}\n{row}\n".encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 3: not UTF-8: byte 0xff$"):
+            read_steady_csv(path)
+
     @pytest.mark.parametrize("torque", ["\x1c1e-4", "1e-4\x1f"])
     def test_cell_with_separator_byte_named(self, tmp_path, torque):
         # str.strip() removes \x1c-\x1f but float() rejects them
@@ -360,14 +378,13 @@ class TestGammaCsv:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_not_utf8_named(self, tmp_path):
-        # a pipe cannot be read again to find the line of the bad byte
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
         body = b"delta,gamma,stderr,n_points\n0.23,1.0,0.01,16\xff\n"
         writer = threading.Thread(target=pipe.write_bytes, args=(body,), daemon=True)
         writer.start()
         try:
-            with pytest.raises(DataFormatError, match=f"^{re.escape(str(pipe))}: not UTF-8: invalid start byte$"):
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(pipe))}: line 2: not UTF-8: byte 0xff$"):
                 read_gamma_csv(pipe)
         finally:
             writer.join(timeout=10)
