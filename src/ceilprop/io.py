@@ -232,29 +232,25 @@ def _parse_plain(fh, header, spec, lines):
     return columns
 
 
-def _utf8_lines(fh, path):
-    # the lines of fh, a file opened with errors="surrogateescape", which
-    # decodes each byte that is not UTF-8 to U+DC80-U+DCFF, a lone surrogate
-    # that UTF-8 text cannot hold; DataFormatError at the first line with one,
-    # once the lines above it are read.  Lines are checked a block at a time,
-    # as a generator resumed once per line costs about 5% of a csv-path read;
-    # the first line is a block alone, so that a C-path read, which takes only
-    # the header from here, holds no block of the body while it parses
-    def blocks():
-        n, hint = 0, 1  # the lines above the block, and the size hint of the next
-        while block := fh.readlines(hint):
-            if not all(map(str.isascii, block)):  # O(1) a line: CPython keeps the flag with the str
-                for i, line in enumerate(block):
-                    try:
-                        line.encode("utf-8")
-                    except UnicodeEncodeError as exc:
-                        yield block[:i]
-                        byte = ord(line[exc.start]) - 0xDC00
-                        raise DataFormatError(f"{path}: line {n + i + 1}: not UTF-8: byte {byte:#04x}") from None
-            n, hint = n + len(block), _SCAN_BYTES
-            yield block
-
-    return itertools.chain.from_iterable(blocks())
+def _utf8_blocks(fh, path):
+    # the lines of fh, a file opened with errors="surrogateescape", a block at
+    # a time, as a generator resumed once per line adds about 5% to a csv-path
+    # read; the first line alone, so that a C-path read holds no block of the
+    # body.  The decoder turns a byte that is not UTF-8 into a lone surrogate
+    # (U+DC80-U+DCFF): the first line holding one raises DataFormatError, once
+    # the lines above it are yielded
+    n, hint = 0, 1  # the lines above the block, and the size hint of the next
+    while block := fh.readlines(hint):
+        if not all(map(str.isascii, block)):  # O(1) a line: CPython keeps the flag with the str
+            for i, line in enumerate(block):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    yield block[:i]
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise DataFormatError(f"{path}: line {n + i + 1}: not UTF-8: byte {byte:#04x}") from None
+        n, hint = n + len(block), _SCAN_BYTES
+        yield block
 
 
 def _read_table(path, spec, build):
@@ -286,11 +282,9 @@ def _read_table(path, spec, build):
     names a faulty cell.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header row") from None
+        reader = csv.reader(itertools.chain.from_iterable(_utf8_blocks(fh, path)))
+        if (header := next(reader, None)) is None:
+            raise DataFormatError(f"{path}: empty file, expected a header row")
         _check_header(header, spec, path)
         lines = _plain_body_lines(path)
         columns, fault, numbers = None, None, range(2, 2 + (lines or 0))
@@ -298,7 +292,7 @@ def _read_table(path, spec, build):
             fh.seek(0)
             if (columns := _parse_plain(fh, header, spec, lines)) is None:
                 fh.seek(0)  # the csv path reads from the top, past the header
-                reader = csv.reader(_utf8_lines(fh, path))
+                reader = csv.reader(itertools.chain.from_iterable(_utf8_blocks(fh, path)))
                 next(reader)
         if columns is None:
             rows, numbers = [], []  # the rows above the first that does not read, and each one's file row
