@@ -99,12 +99,9 @@ def bem_thrust(
 
 
 def _thrust_coefficient(delta, gamma, c0, c1, c2, radius, air_density):
-    # Unvalidated c_T, rationalized as 2c0/(b + sqrt(b^2 + 16c0g^2)); the
-    # arguments broadcast.  The two guards keep the fits' derivative probes
-    # below c0's lower bound finite and change no value for valid constants.
+    # Unvalidated c_T, rationalized as 2c0/(b + sqrt(b^2 + 16c0g^2)); the arguments broadcast
     b = c1 - c2 * delta
-    root = np.sqrt(np.maximum(b * b + 16.0 * c0 * gamma * gamma, 0.0))
-    denom = np.maximum(b + root, 1e-300)
+    denom = b + np.sqrt(b * b + 16.0 * c0 * gamma * gamma)
     return 2.0 * air_density * (math.pi * radius * radius) * (2.0 * c0 * radius * gamma / denom) ** 2
 
 

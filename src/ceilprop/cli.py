@@ -115,6 +115,14 @@ def _fit_provenance(path, report, **extra) -> dict:
     }
 
 
+def _fit_done(command, summary, report) -> int:
+    # a fit's summary line, and its exit code: 0, or 3 with the notes that say why on stderr
+    print(f"{command}: {summary} (rms {report.residual_rms:.3g}, converged {report.converged})")
+    for note in () if report.converged else report.notes:
+        print(f"{command}: {note}", file=sys.stderr)
+    return 0 if report.converged else 3
+
+
 def _cmd_synth(args) -> int:
     _, geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor", blade=True)
     records = synthesize_dataset(
@@ -202,11 +210,8 @@ def _cmd_fit_ceiling(args) -> int:
     params.ceiling = ceiling
     params.provenance["ceiling_fit"] = _fit_provenance(args.input, report, reduced=args.reduced)
     write_params(params, args.params)
-    print(
-        f"fit-ceiling: asymmetry {ceiling.asymmetry:.6g}, recirculation {ceiling.recirculation:.6g} "
-        f"(rms {report.residual_rms:.3g}, converged {report.converged})"
-    )
-    return 0 if report.converged else 3
+    summary = f"asymmetry {ceiling.asymmetry:.6g}, recirculation {ceiling.recirculation:.6g}"
+    return _fit_done("fit-ceiling", summary, report)
 
 
 def _cmd_fit_blade(args) -> int:
@@ -224,11 +229,7 @@ def _cmd_fit_blade(args) -> int:
     params.geometry = replace(geometry, blade_coeffs=coeffs)
     params.provenance["blade_fit"] = _fit_provenance(args.input, report)
     write_params(params, args.params)
-    print(
-        f"fit-blade: c0 {coeffs[0]:.6g}, c1 {coeffs[1]:.6g}, c2 {coeffs[2]:.6g} "
-        f"(rms {report.residual_rms:.3g}, converged {report.converged})"
-    )
-    return 0 if report.converged else 3
+    return _fit_done("fit-blade", f"c0 {coeffs[0]:.6g}, c1 {coeffs[1]:.6g}, c2 {coeffs[2]:.6g}", report)
 
 
 def _cmd_predict_coeffs(args) -> int:

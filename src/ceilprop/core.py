@@ -23,7 +23,6 @@ __all__ = [
     "CeilingParams",
     "GapRatio",
     "FlowState",
-    "NO_CEILING",
     "ceiling_coefficient",
     "induced_velocity",
     "aerodynamic_power",
@@ -87,9 +86,6 @@ class GapRatio:
         return cls(radius / distance)
 
 
-NO_CEILING = GapRatio(0.0)
-
-
 def _delta_value(delta):
     """Accept a GapRatio, float, or array of ratios; validate >= 0."""
     if isinstance(delta, GapRatio):
@@ -105,11 +101,9 @@ def _scalar_or_array(x):
 
 
 def _ceiling_coefficient(delta, asymmetry, recirculation):
-    # Unvalidated ceiling factor; the arguments broadcast.  Fits call it with
-    # parameter columns and with derivative probes just outside the bounds
-    # CeilingParams enforces; the guard keeps the root real for any probe.
+    # Unvalidated ceiling factor; the arguments broadcast, so fits call it with parameter columns
     b = 1.0 - recirculation * delta * delta
-    return 0.5 * b + 0.5 * np.sqrt(np.maximum(b * b + asymmetry * delta * delta / 8.0, 0.0))
+    return 0.5 * b + 0.5 * np.sqrt(b * b + asymmetry * delta * delta / 8.0)
 
 
 def ceiling_coefficient(delta, params: CeilingParams):

@@ -56,34 +56,37 @@ def slope_through_origin(x, y) -> tuple[float, float]:
     return float(slope[0]), float(stderr[0])
 
 
-def _numeric_jacobian(residual, x, n_obs, columns=False, rel_step=1e-6):
-    # central differences of the n_obs residuals with a unit floor on the
-    # relative step.  The 2k probes x + h_j e_j, then x - h_j e_j, are the
-    # columns of one (k, 2k) array: with columns, one residual call scores
-    # them all as parameter columns of shape (k, 2k, 1); else one call each
-    h = rel_step * np.maximum(np.abs(x), 1.0)
-    probes = x[:, None] + np.hstack([np.diag(h), -np.diag(h)])
-    r = residual(probes[..., None]) if columns else [residual(p) for p in probes.T]
+def _numeric_jacobian(residual, x, n_obs, columns=False, lo=-np.inf, hi=np.inf):
+    # central differences of the n_obs residuals with a unit floor on the relative
+    # step, probed inside [lo, hi]: a pair that would leave the box moves in by its
+    # overshoot, and one wider than the box spans it (a point box: a zero column).
+    # With columns, one residual call scores all 2k probes as columns (k, 2k, 1)
+    h = np.minimum(PROBE_STEP * np.maximum(np.abs(x), 1.0), 0.5 * (hi - lo))
+    s = np.maximum(lo - (x - h), 0.0) - np.maximum(x + h - hi, 0.0)
+    probes = np.clip(x + np.vstack([np.diag(s + h), np.diag(s - h)]), lo, hi)
+    r = residual(probes.T[..., None]) if columns else [residual(p) for p in probes]
     r = np.asarray(r, dtype=float).reshape(2 * len(x), n_obs)
-    return (r[: len(x)] - r[len(x) :]).T / (2.0 * h)
+    return (r[: len(x)] - r[len(x) :]).T / np.where(h > 0.0, 2.0 * h, np.inf)
 
 
 MAX_ITER = 500
 STEP_TOL = 1e-10
 SSE_TOL = 1e-12
+PROBE_STEP = 1e-6  # relative central-difference step of the numeric Jacobian
 
 
 def gauss_newton(residual, x0, bounds, names=None, columns=False):
     """Minimize sum(residual(x)**2) inside box bounds by projected Gauss-Newton.
 
-    residual maps a parameter vector to a residual vector and must be
-    evaluable slightly outside the bounds (numeric Jacobians probe there).
-    x0 is clipped to the box.  Each iteration holds every coordinate that
-    sits on a bound its gradient J'r pushes against (x = lo with J'r > 0, or
-    x = hi with J'r < 0), solves for the step on the free coordinates only,
-    halves it until the SSE does not increase, and clips it to the box.
-    Converged means the relative step fell below STEP_TOL, the relative SSE
-    drop below SSE_TOL, or no step descends, within MAX_ITER iterations.
+    residual maps a parameter vector to a residual vector.  It is evaluated
+    inside the box only: x0 is clipped to it, and so is every Jacobian probe.
+    Each iteration holds every coordinate that sits on a bound its gradient
+    J'r pushes against (x = lo with J'r > 0, or x = hi with J'r < 0), solves
+    for the step on the free coordinates only, halves it until the SSE does
+    not increase, and clips it to the box.  Converged means the relative step
+    fell below STEP_TOL, the relative SSE drop below SSE_TOL, or no step
+    descends, within MAX_ITER iterations.  A residual at x0 or a Jacobian
+    that is not finite ends the fit unconverged, and a note names it.
 
     With columns, residual also takes n parameter columns, shape (k, n, 1),
     and returns (n, n_obs): each Jacobian is then 1 call, not 2 per parameter.
@@ -91,19 +94,21 @@ def gauss_newton(residual, x0, bounds, names=None, columns=False):
     Returns (x, FitReport); the report and its notes name the parameters by
     names, "x0", "x1", ... by default.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    lo = np.asarray([b[0] for b in bounds], dtype=float)
-    hi = np.asarray([b[1] for b in bounds], dtype=float)
-    if len(lo) != len(x) or np.any(lo > hi):
+    lo, hi = np.asarray(bounds, dtype=float).reshape(-1, 2).T
+    if len(lo) != len(x0) or np.any(lo > hi):
         raise ValueError("bounds must be (lo, hi) pairs, one per parameter")
-    x = np.clip(x, lo, hi)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     names = [f"x{j}" for j in range(len(x))] if names is None else list(names)
 
     r = np.asarray(residual(x), dtype=float)
     sse = float(r @ r)
-    converged = False
-    for iterations in range(1, MAX_ITER + 1):
-        jac = _numeric_jacobian(residual, x, len(r), columns)
+    converged, iterations, bad = False, 0, None if np.isfinite(r).all() else "residual"
+    while bad is None and iterations < MAX_ITER:
+        iterations += 1
+        jac = _numeric_jacobian(residual, x, len(r), columns, lo, hi)
+        if not np.isfinite(jac).all():
+            bad = "Jacobian"
+            break
         grad = jac.T @ r
         free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
         step = np.zeros_like(x)
@@ -126,15 +131,18 @@ def gauss_newton(residual, x0, bounds, names=None, columns=False):
             converged = True
             break
 
-    # MAX_ITER >= 1, so the loop ran and jac is the last Jacobian taken
-    dead = [name for name, c in zip(names, np.linalg.norm(jac, axis=0)) if c < 1e-9]
+    if bad:
+        notes = (f"non-finite {bad} at " + ", ".join(f"{name}={v:.6g}" for name, v in zip(names, x)),)
+    else:  # MAX_ITER >= 1, so the loop ran and jac is the last Jacobian taken
+        dead = [name for name, c in zip(names, np.linalg.norm(jac, axis=0)) if c < 1e-9]
+        notes = ("non-identifiable parameters: " + ", ".join(dead),) if dead else ()
     report = FitReport(
         parameters={name: float(v) for name, v in zip(names, x, strict=True)},
         residual_rms=float(np.sqrt(sse / len(r))),
         n_obs=len(r),
         converged=converged,
         iterations=iterations,
-        notes=("non-identifiable parameters: " + ", ".join(dead),) if dead else (),
+        notes=notes,
     )
     return x, report
 

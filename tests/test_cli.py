@@ -501,3 +501,57 @@ class TestFitMotorOneRig:
         assert run("fit-motor", "--input", mixed, "--params", fit) == 2
         assert "records mix several radius values: [0.023, 0.05]" in capsys.readouterr().err
         assert fit.read_bytes() == before
+
+
+def fit_chain(records, fit, gamma_csv):
+    # fit-motor and fit-gamma in process, then the argv of the two bounded fits
+    assert run("fit-motor", "--input", records, "--params", fit) == 0
+    assert run("fit-gamma", "--input", records, "--out", gamma_csv, "--params", fit) == 0
+    return {
+        "fit-ceiling": ["fit-ceiling", "--input", gamma_csv, "--params", fit, "--reduced"],
+        "fit-blade": ["fit-blade", "--input", records, "--params", fit],
+    }
+
+
+class TestMisspecifiedCeiling:
+    """fit-ceiling --reduced on data whose ceiling has recirculation, then
+    fit-blade: each returns within seconds, exit 0 or 3, with its summary
+    line and no traceback.  The fits run as processes under a timeout,
+    because a fit hung inside LAPACK cannot be interrupted in process."""
+
+    @pytest.mark.parametrize("noise", ["0", "0.01"])
+    def test_chain_returns(self, tmp_path, noise):
+        truth, records, fit = tmp_path / "truth.json", tmp_path / "records.csv", tmp_path / "fit.json"
+        geometry = PropellerGeometry(radius=0.05, figure_of_merit=0.68, blade_coeffs=(0.058, 0.095, 0.011))
+        ceiling, motor = ceilprop.CeilingParams(3.81, 0.0487), ceilprop.MotorParams(1.435, 0.001456)
+        write_params(ParamSet(geometry=geometry, ceiling=ceiling, motor=motor), truth)
+        assert run(
+            "synth", "--params", truth, "--out", records, "--distances", "0.001:0.1:59,3.09", "--log",
+            "--setpoints", "800:3000:24", "--noise", noise,
+        ) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(ceilprop.__file__).parents[1]))
+        for command, argv in fit_chain(records, fit, tmp_path / "gamma.csv").items():
+            argv = [sys.executable, "-m", "ceilprop.cli", *map(str, argv)]
+            done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert done.returncode in (0, 3), done.stderr
+            assert done.stdout.startswith(f"{command}: ") and done.stdout.count("\n") == 1, done.stdout
+            assert "Traceback" not in done.stderr
+
+
+class TestFitNotConverged:
+    @pytest.mark.parametrize("command", ["fit-ceiling", "fit-blade"])
+    def test_exit_3_prints_each_note(self, records_file, tmp_path, capsys, monkeypatch, command):
+        argv = fit_chain(records_file, tmp_path / "fit.json", tmp_path / "gamma.csv")
+        assert run(*argv["fit-ceiling"]) == 0  # fit-blade reads the ceiling fit
+
+        def stopped(residual, x0, bounds, names=None, columns=False):
+            x = np.clip(x0, *np.array(bounds).T)
+            notes = ("first note", "second note")
+            return x, ceilprop.FitReport(dict(zip(names, x.tolist())), 0.5, 10, False, 500, notes)
+
+        monkeypatch.setattr(ceilprop.leastsq, "gauss_newton", stopped)
+        capsys.readouterr()
+        assert run(*argv[command]) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith(f"{command}: ") and out.endswith("(rms 0.5, converged False)\n")
+        assert err == f"{command}: first note\n{command}: second note\n"

@@ -562,6 +562,54 @@ class TestLinearStarts:
         np.testing.assert_allclose(started[0], blade, rtol=1e-9, atol=1e-9)
 
 
+class TestFitsStayInTheirBox:
+    """The ceiling and blade fits evaluate their residuals inside the bounds only.
+
+    The data are a 50-mm propeller under a ceiling with recirculation, so the
+    reduced ceiling fit is misspecified: its asymmetry starts and ends on its
+    lower bound, and the blade fit then starts with c0 and c1 on theirs.
+    """
+
+    @staticmethod
+    def boxed(monkeypatch):
+        # the names of every fit whose residual is called; a parameter
+        # column outside the fit's bounds fails at once
+        called, real = [], leastsq.gauss_newton
+
+        def spy(residual, x0, bounds, names=None, columns=False):
+            lo, hi = np.array(bounds).T
+
+            def inside(p):
+                cols = np.asarray(p).reshape(len(bounds), -1)
+                assert np.all((lo[:, None] <= cols) & (cols <= hi[:, None])), f"{names} at {cols.T} outside {bounds}"
+                called.append(names)
+                return residual(p)
+
+            return real(inside, x0, bounds, names, columns)
+
+        monkeypatch.setattr(leastsq, "gauss_newton", spy)
+        return called
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_recirculating_data_fitted_reduced_and_full(self, noise, env, monkeypatch):
+        geom = PropellerGeometry(radius=0.05, figure_of_merit=0.68, blade_coeffs=(0.058, 0.095, 0.011))
+        distances = np.append(np.geomspace(0.001, 0.1, 59), 3.09)  # delta up to 50
+        records = synthesize_dataset(
+            geom, CeilingParams(3.81, 0.0487), MotorParams(1.435, 0.001456),
+            distances=distances, setpoints=np.linspace(800.0, 3000.0, 24), env=env, noise=noise,
+        )
+        eta, points = fit_eta_gamma(records, env)
+        ct_points, ctau_points = flight_coefficient_points(records)
+        called = self.boxed(monkeypatch)
+        for reduced in (True, False):
+            ceiling, _ = fit_ceiling_params(points, reduced=reduced)
+            _, report = fit_blade_coefficients(
+                ct_points, ctau_points, radius=0.05, figure_of_merit=eta, ceiling=ceiling, env=env
+            )
+            assert report.converged, report.notes
+        assert set(called) == {("asymmetry",), ("asymmetry", "recirculation"), ("c0", "c1", "c2")}
+
+
 class TestBundledDataset:
     def test_bundled_synthetic_set_recovers_figure_of_merit(self, env):
         from pathlib import Path

@@ -154,6 +154,87 @@ class TestGaussNewton:
         assert report.residual_rms == 1.0
 
 
+def boxed(residual, bounds, seen):
+    # residual, recording every parameter vector it is given in seen and
+    # failing on the first that leaves the box
+    lo, hi = np.array(bounds, dtype=float).T
+
+    def inside(x):
+        seen.append(np.array(x, dtype=float))
+        assert np.all((lo <= x) & (x <= hi)), f"evaluated at {x}, outside {bounds}"
+        return residual(x)
+
+    return inside
+
+
+class TestGaussNewtonStaysInTheBox:
+    # the existing bound cases of TestGaussNewton, evaluated only inside the box
+    @pytest.mark.parametrize(
+        "residual, x0, bounds",
+        [
+            (lambda x: x - 5.0, [0.0], [(-1.0, 1.0)]),
+            (
+                lambda x: np.array([x[0] - 1.0 + 0.9 * (x[1] + 1.0), math.sqrt(0.19) * (x[1] + 1.0)]),
+                [1.0, 0.0],
+                [(-10.0, 10.0), (0.0, 10.0)],
+            ),
+        ],
+        ids=["bound_clipping", "minimum_on_bound_reached_from_bound"],
+    )
+    def test_bound_cases_evaluate_inside(self, residual, x0, bounds):
+        seen = []
+        x, report = gauss_newton(boxed(residual, bounds, seen), x0, bounds)
+        assert report.converged
+        assert len(seen) > 2 * len(x0)  # the Jacobian's probes are among them
+
+    def test_point_box_holds_its_coordinate(self):
+        seen = []
+        bounds = [(0.3, 0.3), (-10.0, 10.0)]
+        residual = lambda x: np.array([x[0] + x[1] - 1.0, x[1] - 0.5])
+        x, report = gauss_newton(boxed(residual, bounds, seen), [0.3, 4.0], bounds)
+        assert x[0] == 0.3
+        assert x[1] == pytest.approx(0.6, rel=1e-9)  # the least-squares x1 with x0 held
+        assert report.converged
+        assert all(p[0] == 0.3 for p in seen)
+        assert np.isfinite(report.residual_rms)
+
+    def test_probe_pair_shifted_inward_at_a_bound(self):
+        # at x = lo the pair moves up by h, so the column is the forward
+        # difference, exact for a quadratic up to rounding: d(x^2)/dx at 1 + h
+        seen = []
+        jac = _numeric_jacobian(boxed(lambda x: x * x, [(1.0, 2.0)], seen), np.array([1.0]), 1, lo=1.0, hi=2.0)
+        assert [p[0] for p in seen] == [1.0 + 2e-6, 1.0]
+        assert jac[0, 0] == pytest.approx(2.0 + 2e-6, rel=1e-9)
+
+
+class TestGaussNewtonNonFinite:
+    @pytest.fixture
+    def lstsq_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    def test_residual_not_finite_at_start(self, lstsq_calls):
+        residual = lambda x: np.array([x[0] - 1.0, math.nan])
+        x, report = gauss_newton(residual, [2.0, 0.5], bounds=[(0.0, 5.0)] * 2, names=("a", "b"))
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.notes == ("non-finite residual at a=2, b=0.5",)
+        assert list(x) == [2.0, 0.5]
+        assert lstsq_calls == []
+
+    def test_jacobian_not_finite(self, lstsq_calls):
+        # finite at x0 = 2, infinite just above it, where the probe x0 + h lands
+        residual = lambda x: np.array([math.inf if x[0] > 2.0 else x[0] - 1.0])
+        x, report = gauss_newton(residual, [2.0], bounds=[(0.0, 5.0)], names=("c0",))
+        assert not report.converged
+        assert report.iterations == 1
+        assert report.notes == ("non-finite Jacobian at c0=2",)
+        assert x[0] == 2.0
+        assert lstsq_calls == []
+
+
 class TestGridOracle:
     def test_interior_quadratic(self):
         objective = lambda p: float((p[0] - 0.37) ** 2)
