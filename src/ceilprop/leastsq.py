@@ -58,15 +58,16 @@ def slope_through_origin(x, y) -> tuple[float, float]:
 
 def _numeric_jacobian(residual, x, n_obs, columns=False, lo=-np.inf, hi=np.inf):
     # central differences of the n_obs residuals with a unit floor on the relative
-    # step, probed inside [lo, hi]: a pair that would leave the box moves in by its
-    # overshoot, and one wider than the box spans it (a point box: a zero column).
-    # With columns, one residual call scores all 2k probes as columns (k, 2k, 1)
-    h = np.minimum(PROBE_STEP * np.maximum(np.abs(x), 1.0), 0.5 * (hi - lo))
-    s = np.maximum(lo - (x - h), 0.0) - np.maximum(x + h - hi, 0.0)
-    probes = np.clip(x + np.vstack([np.diag(s + h), np.diag(s - h)]), lo, hi)
-    r = residual(probes.T[..., None]) if columns else [residual(p) for p in probes]
-    r = np.asarray(r, dtype=float).reshape(2 * len(x), n_obs)
-    return (r[: len(x)] - r[len(x) :]).T / np.where(h > 0.0, 2.0 * h, np.inf)
+    # step, inside [lo, hi]: a pair that would leave the box shifts in by its overshoot
+    # and spans a narrower one (a point box: a zero column).  The 2k probes are the
+    # columns of one (k, 2k) array; with columns, one residual call scores them all
+    k, h = len(x), PROBE_STEP * np.maximum(np.abs(x), 1.0)
+    probes = np.repeat(x[:, None], 2 * k, axis=1)
+    np.fill_diagonal(probes[:, :k], np.minimum(np.maximum(x + h, lo + 2.0 * h), hi))
+    np.fill_diagonal(probes[:, k:], np.maximum(np.minimum(x - h, hi - 2.0 * h), lo))
+    r = residual(probes[..., None]) if columns else [residual(p) for p in probes.T]
+    r = np.asarray(r, dtype=float).reshape(2 * k, n_obs)
+    return (r[:k] - r[k:]).T / (2.0 * h)
 
 
 MAX_ITER = 500
@@ -94,7 +95,7 @@ def gauss_newton(residual, x0, bounds, names=None, columns=False):
     Returns (x, FitReport); the report and its notes name the parameters by
     names, "x0", "x1", ... by default.
     """
-    lo, hi = np.asarray(bounds, dtype=float).reshape(-1, 2).T
+    lo, hi = np.asarray(bounds, dtype=float).T
     if len(lo) != len(x0) or np.any(lo > hi):
         raise ValueError("bounds must be (lo, hi) pairs, one per parameter")
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
