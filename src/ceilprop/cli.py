@@ -116,7 +116,6 @@ def _fit_provenance(path, report, **extra) -> dict:
 
 
 def _fit_done(command, summary, report) -> int:
-    # a fit's summary line, and its exit code: 0, or 3 with the notes that say why on stderr
     print(f"{command}: {summary} (rms {report.residual_rms:.3g}, converged {report.converged})")
     for note in () if report.converged else report.notes:
         print(f"{command}: {note}", file=sys.stderr)
