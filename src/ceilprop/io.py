@@ -132,7 +132,7 @@ def _integers(values):
 def _parse_column(cells, kind):
     # the whole column at once, with float()'s semantics; ValueError on any bad cell
     if kind == TEXT:
-        return cells
+        return np.array(cells, dtype=str)
     if kind == FLOAT:
         return np.fromiter(map(float, cells), dtype=float, count=len(cells))
     if kind == FLOAT_OR_EMPTY:
@@ -140,16 +140,13 @@ def _parse_column(cells, kind):
     return _integers(list(map(float, cells)))
 
 
-def _check_cell(raw: str, kind: str, i: int, column: str) -> None:
-    # one cell of row i, tested as _parse_column tests it; raises the _RowError that names it
-    if kind == TEXT or (kind == FLOAT_OR_EMPTY and not raw.strip()):
-        return
+def _parses(cell, kind) -> bool:
+    # whether _parse_column reads cell as a cell of kind
     try:
-        value = float(raw)
+        _parse_column([cell], kind)
     except ValueError:
-        raise _RowError(i, f"could not parse {raw!r}", column) from None
-    if kind == INT and not value.is_integer():
-        raise _RowError(i, f"expected an integer, got {raw!r}", column)
+        return False
+    return True
 
 
 _SCAN_BYTES = 1 << 16  # larger chunks raise the peak memory of a read
@@ -161,28 +158,21 @@ _LABEL_BYTES = 16  # the bytes field of a text cell on the C path
 
 def _plain_body_lines(path):
     # the number of lines below the header, or None when the file is not a
-    # regular one or holds a byte of _DECLINED_BYTES, a CR outside a CRLF or a
-    # blank line (numpy's tokenizer skips it, so its row numbers would shift,
-    # and loadtxt warns of it when given max_rows)
+    # regular one or holds a byte of _DECLINED_BYTES or a CR outside a CRLF
     if not stat.S_ISREG(os.stat(path).st_mode):
         return None
-    lines, last, tail = 0, -2, b""  # last: the previous LF's offset from the chunk's start
+    lines, last = 0, b"\n"
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_BYTES):
-            window = tail + chunk  # the last two bytes before the chunk, for a pattern across the seam
-            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10)
-            if any(byte in chunk for byte in _DECLINED_BYTES) or np.any(np.diff(ends, prepend=last) == 1):
-                return None
-            if b"\r" in window and (
-                b"\n\r\n" in window or window.count(b"\r") != window.count(b"\r\n") + window.endswith(b"\r")
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)  # so that no CRLF is split between chunks
+            if any(byte in chunk for byte in _DECLINED_BYTES) or (
+                b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")
             ):
                 return None
-            last = (ends[-1] if ends.size else last) - len(chunk)
-            lines += ends.size
-            tail = window[-2:]
-    if tail.endswith(b"\r"):
-        return None
-    return lines - tail.endswith(b"\n")
+            # numpy counts the LFs several times faster than bytes.count
+            lines, last = lines + np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10), chunk[-1:]
+    return lines - (last == b"\n")
 
 
 def _labels(table, name):
@@ -207,21 +197,25 @@ def _labels(table, name):
     return out
 
 
-def _parse_plain(fh, header, spec, lines):
+def _parse_plain(fh, header, spec, lines, first):
     # the body through numpy's C tokenizer in one pass, into a table allocated
-    # once: a text cell into a bytes field, every other cell as a float.  None
-    # if the tokenizer rejects a cell (float() may read it), does not find one
-    # row per line and one cell per header column, or _labels rejects a cell
-    dtype = [(name, f"S{_LABEL_BYTES}" if spec[name] == TEXT else "f8") for name in header]
+    # once: a text cell into a bytes field, every other cell as a float, but a
+    # FLOAT_OR_EMPTY column empty in first (the first body row) into a 1-byte
+    # field, returned as [None] * lines.  None if the tokenizer rejects a cell
+    # (float() may read it), does not find one row per line (it skips a blank
+    # line) and one cell per header column, a column empty in the first row
+    # is not empty in every row, or _labels rejects a cell
+    empty = {name for name, cell in zip(header, first) if spec[name] == FLOAT_OR_EMPTY and cell == ""}
+    dtype = [(name, "S1" if name in empty else f"S{_LABEL_BYTES}" if spec[name] == TEXT else "f8") for name in header]
     try:
-        table = np.loadtxt(
-            fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, max_rows=lines, ndmin=1
-        )
-        if table.shape != (lines,):
+        table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1)
+        if table.shape != (lines,) or any((table[name] != b"").any() for name in empty):
             return None
         columns = {}
         for name, kind in spec.items():
-            if kind == TEXT:
+            if name in empty:
+                columns[name] = [None] * lines
+            elif kind == TEXT:
                 columns[name] = _labels(table, name)
             elif kind == INT:
                 columns[name] = _integers(table[name].tolist())
@@ -257,9 +251,9 @@ def _read_table(path, spec, build):
     """Read the CSV table that spec declares and return build(columns).
 
     columns maps each column of spec, in its order, to its cells: FLOAT
-    columns as float64 arrays and INT columns as lists of int; FLOAT_OR_EMPTY
-    and TEXT columns as float64 and str arrays from the C path, and as lists
-    from the csv path (None for an empty FLOAT_OR_EMPTY cell).  build raises
+    columns as float64 arrays, INT columns as lists of int, TEXT columns as
+    str arrays, and FLOAT_OR_EMPTY columns as float64 arrays or as lists
+    with None for an empty cell.  build raises
     _RowError(i, message[, column]) for the first value it rejects, i the
     index of its row in columns.  A bad header, or a non-UTF-8 byte in the
     header line, raises DataFormatError at once.  Blank rows are skipped but
@@ -273,13 +267,14 @@ def _read_table(path, spec, build):
     The C path parses the body with numpy's C tokenizer.  The csv path
     (csv.reader, then float() on each cell) reads it instead wherever the
     tokenizer might not read the same: an empty body; a file that is not a
-    regular one, or holds a NUL, a byte from \x1c to \x1f, a CR outside a
-    CRLF or a blank line; a cell the tokenizer rejects (a bad or empty cell,
-    one that only float() reads, such as '1_0', or one with a byte that is
-    not UTF-8); a text cell of 16 bytes or more, or one that is not ASCII;
-    or a row count or cell count that differs from the line count and the
-    header (a quoted line break, a short or long row).  Only the csv path
-    names a faulty cell.
+    regular one, or holds a NUL, a byte from \x1c to \x1f or a CR outside a
+    CRLF; a cell the tokenizer rejects (a bad cell, one that only float()
+    reads, such as '1_0', or one with a byte that is not UTF-8); a
+    FLOAT_OR_EMPTY column that holds both empty and other cells; a text
+    cell of 16 bytes or more, or one that is not ASCII; or a row count or
+    cell count that differs from the line count and the header (a blank
+    line, which the tokenizer skips, a quoted line break, a short or long
+    row).  Only the csv path names a faulty cell.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(itertools.chain.from_iterable(_utf8_blocks(fh, path)))
@@ -289,8 +284,9 @@ def _read_table(path, spec, build):
         lines = _plain_body_lines(path)
         columns, fault, numbers = None, None, range(2, 2 + (lines or 0))
         if lines:
+            first = next(reader, [])
             fh.seek(0)
-            if (columns := _parse_plain(fh, header, spec, lines)) is None:
+            if (columns := _parse_plain(fh, header, spec, lines, first)) is None:
                 fh.seek(0)  # the csv path reads from the top, past the header
                 reader = csv.reader(itertools.chain.from_iterable(_utf8_blocks(fh, path)))
                 next(reader)
@@ -313,13 +309,13 @@ def _read_table(path, spec, build):
 
             try:
                 columns = parse(rows)
-            except ValueError:
-                try:  # parse cell by cell only now, to name the first bad one
-                    for i, row in enumerate(rows):
-                        for name, kind in spec.items():
-                            _check_cell(row[index[name]], kind, i, name)
-                except _RowError as exc:
-                    fault, rows = exc, rows[: exc.row]
+            except ValueError:  # parse cell by cell only now, to name the first bad one
+                i, name = next(
+                    (i, name) for i, row in enumerate(rows) for name in spec if not _parses(row[index[name]], spec[name])
+                )
+                cell = rows[i][index[name]]
+                problem = "expected an integer, got" if _parses(cell, FLOAT) else "could not parse"
+                fault, rows = _RowError(i, f"{problem} {cell!r}", name), rows[:i]
                 columns = parse(rows)
     try:
         if fault is None:
@@ -516,9 +512,8 @@ def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=
 
     def build(columns):
         # the spec lists its columns in RawSampleStream's field order
-        columns["setpoint"] = np.asarray(columns["setpoint"])
         torque = columns["torque_nm"]
-        if isinstance(torque, list):  # cells read by the csv path, None where empty
+        if isinstance(torque, list):  # None where empty
             columns["torque_nm"] = None if all(v is None for v in torque) else np.array(torque, dtype=float)
         try:
             return RawSampleStream(*columns.values(), radius, distance, config_id, prop_count, spacing)

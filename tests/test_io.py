@@ -735,6 +735,7 @@ class TestRawCsv:
             ([(6, "0.005,", "0.006,"), (5, ",0.05,", ",nan,")], "row 6, column thrust_n: sample must be finite"),
             ([(2, ",3.0,", ",nan,"), (3, ",0.05,0.0001,2000.0", "")], "row 3, column voltage_v: sample must be finite"),
             ([(2, ",3.0,", ",nan,"), (3, ",2000.0", ",2000.0,9")], "row 3, column voltage_v: sample must be finite"),
+            ([(1, ",0.0001,", ",,")], "row 2, column torque_nm: could not parse ''"),
         ],
     )
     def test_first_bad_row_named_whatever_its_fault(self, tmp_path, bad, message):
@@ -815,14 +816,17 @@ def raw_oracle(text):
     return out
 
 
-def campaign_log(path):
+def campaign_log(path, torque=True):
     """Write a log shaped like a bench campaign's to path: 64k rows at 1 kHz,
-    16 setpoints, 7-digit samples."""
+    16 setpoints, 7-digit samples, and every torque cell empty unless torque."""
     n = 64_000
     rng = np.random.default_rng(3)
     channels = np.array([3.0, 1.0, 0.05, 1e-4, 2000.0]) * (1.0 + 0.005 * rng.standard_normal((n, 5)))
     table = np.column_stack([np.arange(n) / 1000.0, np.arange(n) * 16 // n, channels])
-    np.savetxt(path, table, fmt="%.3f,sp%02d,%.7g,%.7g,%.7g,%.7g,%.7g", header=RAW_HEADER, comments="")
+    if torque:
+        np.savetxt(path, table, fmt="%.3f,sp%02d,%.7g,%.7g,%.7g,%.7g,%.7g", header=RAW_HEADER, comments="")
+    else:
+        np.savetxt(path, np.delete(table, 5, axis=1), fmt="%.3f,sp%02d,%.7g,%.7g,%.7g,,%.7g", header=RAW_HEADER, comments="")
     return path
 
 
@@ -858,31 +862,45 @@ class TestRawCsvParsers:
     def test_read_memory_stays_near_file_size(self, tmp_path):
         # holding every row as a list of strings before parsing peaked at
         # about ten times the file
-        path = campaign_log(tmp_path / "raw.csv")
-        n = 64_000
-        tracemalloc.start()
-        try:
-            stream = read_raw_csv(path, radius=0.023, distance=0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(stream.time) == n and stream.setpoint[-1] == "sp15"
-        assert stream.setpoint.dtype.kind == "U"  # labels are str, not the bytes of numpy 1.x converters
-        assert peak < 3 * path.stat().st_size
+        for torque in (True, False):
+            path = campaign_log(tmp_path / "raw.csv", torque)
+            n = 64_000
+            tracemalloc.start()
+            try:
+                stream = read_raw_csv(path, radius=0.023, distance=0.01)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(stream.time) == n and stream.setpoint[-1] == "sp15" and (stream.torque is None) != torque
+            assert stream.setpoint.dtype.kind == "U"  # labels are str, not the bytes of numpy 1.x converters
+            assert peak < 3 * path.stat().st_size, torque
 
-    @pytest.mark.parametrize("kind", ["campaign log", "bundled steady table"])
+    @pytest.mark.parametrize(
+        "kind", ["campaign log", "bundled steady table", "campaign log without torque", "bundled steady table without torque"]
+    )
     def test_plain_files_skip_the_csv_path(self, tmp_path, monkeypatch, kind):
         # a file that falls back to the csv path reads the same values, only
         # slower, so the path taken is checked here
         def csv_path(cells, kind):
             raise AssertionError("body read by the csv path")
 
+        torque = not kind.endswith("without torque")
+        steady = DATA / "steady_23mm_synthetic.csv"
+        if not torque:  # the bundled table with every torque cell emptied
+            rows = [line.split(",") for line in steady.read_text().splitlines()]
+            column = rows[0].index("torque_nm")
+            for row in rows[1:]:
+                row[column] = ""
+            steady = tmp_path / "steady.csv"
+            steady.write_text("\n".join(map(",".join, rows)) + "\n")
         monkeypatch.setattr(ceilprop.io, "_parse_column", csv_path)
-        if kind == "campaign log":
-            assert read_raw_csv(campaign_log(tmp_path / "raw.csv"), radius=0.023, distance=0.01).setpoint[-1] == "sp15"
+        if kind.startswith("campaign log"):
+            stream = read_raw_csv(campaign_log(tmp_path / "raw.csv", torque), radius=0.023, distance=0.01)
+            assert stream.setpoint[-1] == "sp15" and (stream.torque is None) != torque
         else:
-            table = read_steady_csv(DATA / "steady_23mm_synthetic.csv")
+            table = read_steady_csv(steady)
             assert len(table) == 1088 and table.config_id[0] == "synth-23mm"
+            assert np.isnan(table.torque).all() != torque
 
 
 JSON_VALUES = st.recursive(
