@@ -93,7 +93,7 @@ _CHECKS = (
     ("torque", "must be finite"),
     ("thrust", "must be >= 0"),
     ("omega", "must be positive"),
-    ("prop_count", "must be >= 1"),
+    ("prop_count", "must be an integer >= 1"),
 )
 _POSITIVE = np.array([[rule == "must be positive"] for _, rule in _CHECKS])
 
@@ -102,9 +102,13 @@ def _check_steady(columns) -> None:
     # raise _RowError for the first value SteadyRecord rejects in columns (one
     # sequence per field, torque None where not measured), first in row order,
     # then in the order of _CHECKS, with the value shown as given
-    values = np.array([columns[name] for name, _ in _CHECKS], dtype=float)  # None reads nan
+    values = np.array([columns[name] for name, _ in _CHECKS], dtype=float)  # None reads nan, True 1.0
     bad = ~np.isfinite(values) | (_POSITIVE & (values <= 0.0))
-    bad[6], bad[8] = values[6] < 0.0, values[8] < 1.0  # the rows of the thrust sign and prop_count
+    bad[6] = values[6] < 0.0  # the row of the thrust sign
+    # prop_count: a finite integer >= 1 and not a bool, which is written 'True', so its cell reads back
+    bad[8] |= (values[8] < 1.0) | (values[8] != np.round(values[8]))
+    if not {bool, np.bool_}.isdisjoint(map(type, columns["prop_count"])):
+        bad[8] |= [type(v) in (bool, np.bool_) for v in columns["prop_count"]]
     torque = columns["torque"]
     if not isinstance(torque, np.ndarray):  # an array holds no None
         bad[5] &= np.array([v is not None for v in torque], dtype=bool)

@@ -52,7 +52,7 @@ class TestSteadyRecord:
         "field, value",
         [
             ("distance", 0.0), ("distance", -1.0), ("radius", 0.0), ("thrust", -1e-6), ("omega", 0.0), ("prop_count", 0),
-            ("voltage", math.nan), ("current", math.nan), ("thrust", math.nan), ("torque", math.nan),
+            ("prop_count", True), ("voltage", math.nan), ("current", math.nan), ("thrust", math.nan), ("torque", math.nan),
             ("thrust", math.inf), ("current", -math.inf),
         ],
     )

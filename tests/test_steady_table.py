@@ -33,7 +33,7 @@ BAD_VALUES = {
     "thrust": [-1e-6, math.nan, math.inf],
     "torque": [math.nan, math.inf, -math.inf],
     "omega": [0.0, -2000.0, math.nan, math.inf],
-    "prop_count": [0, -3],
+    "prop_count": [0, -3, math.nan, math.inf, 2.5],
 }
 
 
@@ -94,6 +94,15 @@ class TestValidation:
     def test_unmeasured_torque_passes(self):
         table = SteadyTable(["c"], [0.023], [1], [0.0], [0.01], ["s"], [3.0], [1.0], [0.05], [None], [2000.0])
         assert np.isnan(table.torque).all() and table[0].torque is None
+
+    @pytest.mark.parametrize("count", [1, 7, 2.0, np.int64(3), np.float64(4.0), 1e300])
+    def test_accepted_prop_count_reads_back(self, table, tmp_path, count):
+        # a count the table accepts is written as a cell its reader accepts
+        table = table[:2]
+        table[1] = dataclasses.replace(table[1], prop_count=count)
+        write_steady_csv(table, tmp_path / "steady.csv")
+        back = read_steady_csv(tmp_path / "steady.csv")
+        assert back == table and back[1].prop_count == count and type(back[1].prop_count) is int
 
     def test_columns_of_different_length_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
@@ -185,10 +194,10 @@ def raw_stream(table, distance):
 class TestProducers:
     @pytest.fixture
     def tables(self, table, tmp_path):
-        # one table from each producer: synth, the steady reader's two paths, and the extractor
+        # one table from each producer: synth, the steady reader with and without torque, and the extractor
         path, blank = tmp_path / "steady.csv", tmp_path / "torqueless.csv"
         write_steady_csv(table, path)
-        write_steady_csv([dataclasses.replace(r, torque=None) for r in table], blank)  # read by the csv path
+        write_steady_csv([dataclasses.replace(r, torque=None) for r in table], blank)
         extracted = SteadyTable.of([])
         for distance in np.unique(table.distance).tolist():
             extracted = extracted + steady_state_extract(raw_stream(table, distance))
