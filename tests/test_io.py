@@ -823,10 +823,8 @@ def campaign_log(path, torque=True):
     rng = np.random.default_rng(3)
     channels = np.array([3.0, 1.0, 0.05, 1e-4, 2000.0]) * (1.0 + 0.005 * rng.standard_normal((n, 5)))
     table = np.column_stack([np.arange(n) / 1000.0, np.arange(n) * 16 // n, channels])
-    if torque:
-        np.savetxt(path, table, fmt="%.3f,sp%02d,%.7g,%.7g,%.7g,%.7g,%.7g", header=RAW_HEADER, comments="")
-    else:
-        np.savetxt(path, np.delete(table, 5, axis=1), fmt="%.3f,sp%02d,%.7g,%.7g,%.7g,,%.7g", header=RAW_HEADER, comments="")
+    fmt = "%.3f,sp%02d,%.7g,%.7g,%.7g,%.7g,%.7g" if torque else "%.3f,sp%02d,%.7g,%.7g,%.7g,,%.7g"
+    np.savetxt(path, table if torque else np.delete(table, 5, axis=1), fmt=fmt, header=RAW_HEADER, comments="")
     return path
 
 
