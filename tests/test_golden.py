@@ -51,12 +51,11 @@ def raw_log(path, torque=True):
 
 
 def produce(out, golden):
-    """Write every file of TOLERANCE into the directory out.  The fits run as
+    """Write every file of TOLERANCE into the directory out (a Path).  The fits run as
     the README chain runs them, except that fit-ceiling reads golden's
     gamma.csv (whose hash it records); the forward commands and anomalies
     read golden's fit.json and gamma.csv, so a fitted digit that moves fails
     only the file that holds it."""
-    out, golden = Path(out), Path(golden)
     fit, gamma = out / "fit.json", golden / "gamma.csv"
     commands = [
         ["fit-motor", "--input", STEADY, "--params", fit],
