@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Environment",
     "CeilingParams",
-    "GapRatio",
     "FlowState",
     "ceiling_coefficient",
     "induced_velocity",
@@ -64,32 +63,8 @@ class CeilingParams:
             raise ValueError(f"recirculation must be >= 0, got {self.recirculation}")
 
 
-@dataclass(frozen=True)
-class GapRatio:
-    """Propeller-to-ceiling ratio delta = radius / gap distance.
-
-    delta = 0 means the ceiling is absent (infinitely far away).
-    """
-
-    delta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError(f"gap ratio must be finite and >= 0, got {self.delta}")
-
-    @classmethod
-    def from_distance(cls, radius: float, distance: float) -> "GapRatio":
-        if not (math.isfinite(distance) and distance > 0.0):
-            raise ValueError(f"gap distance must be positive, got {distance}")
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"radius must be positive, got {radius}")
-        return cls(radius / distance)
-
-
 def _delta_value(delta):
-    """Accept a GapRatio, float, or array of ratios; validate >= 0."""
-    if isinstance(delta, GapRatio):
-        return delta.delta
+    """Accept a float or array of ratios; validate >= 0."""
     d = np.asarray(delta, dtype=float)
     if not np.all(np.isfinite(d)) or np.any(d < 0.0):
         raise ValueError("gap ratio must be finite and >= 0")

@@ -96,19 +96,25 @@ _CHECKS = (
     ("prop_count", "must be an integer >= 1"),
 )
 _POSITIVE = np.array([[rule == "must be positive"] for _, rule in _CHECKS])
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 def _check_steady(columns) -> None:
     # raise _RowError for the first value SteadyRecord rejects in columns (one
     # sequence per field, torque None where not measured), first in row order,
     # then in the order of _CHECKS, with the value shown as given
-    values = np.array([columns[name] for name, _ in _CHECKS], dtype=float)  # None reads nan, True 1.0
+    # prop_count: an int or a float that is a finite integer >= 1, and an int equal to its float,
+    # so that its cell reads back (a bool is written 'True', a str as given); others read nan
+    counts = columns["prop_count"]
+    wrong = {t for t in set(map(type, counts)) if issubclass(t, bool) or not issubclass(t, _NUMBERS)}
+    if wrong:
+        counts = [math.nan if type(v) in wrong else v for v in counts]
+    values = np.array([counts if name == "prop_count" else columns[name] for name, _ in _CHECKS], dtype=float)
     bad = ~np.isfinite(values) | (_POSITIVE & (values <= 0.0))
     bad[6] = values[6] < 0.0  # the row of the thrust sign
-    # prop_count: a finite integer >= 1 and not a bool, which is written 'True', so its cell reads back
     bad[8] |= (values[8] < 1.0) | (values[8] != np.round(values[8]))
-    if not {bool, np.bool_}.isdisjoint(map(type, columns["prop_count"])):
-        bad[8] |= [type(v) in (bool, np.bool_) for v in columns["prop_count"]]
+    for i in np.flatnonzero(np.isfinite(values[8]) & (values[8] >= 2.0**53)):
+        bad[8, i] |= int(counts[i]) != int(values[8, i])  # as Python ints: numpy compares them as floats
     torque = columns["torque"]
     if not isinstance(torque, np.ndarray):  # an array holds no None
         bad[5] &= np.array([v is not None for v in torque], dtype=bool)
@@ -121,7 +127,7 @@ def _check_steady(columns) -> None:
 
 class SteadyTable:
     """Steady records held as columns, one per SteadyRecord field, that
-    behaves as a list of SteadyRecord.
+    reads as a list of SteadyRecord.
 
     Every column is a numpy array of float, torque with nan where it was not
     measured, except prop_count, an object array of the counts as given, and
@@ -131,10 +137,10 @@ class SteadyTable:
     the first in row order, then in field order, raises SteadyRecord's
     ValueError.
 
-    len(t) and iteration behave as for a list; t[i] is a SteadyRecord with
-    plain float, int and str fields, t[a:b] and t + records (or records + t)
-    are tables, t[i] = record writes a row, and t == records compares row by
-    row with a table or a list.
+    The table is read as a list: len(t) and iteration behave as for one,
+    t[i] is a SteadyRecord with plain float, int and str fields, t[a:b] is a
+    table (a copy), and t == records compares row by row with a table or a
+    list.  Rows are edited or joined on list(t).
     """
 
     __slots__ = _FIELDS
@@ -191,24 +197,6 @@ class SteadyTable:
             return SteadyTable._wrap(part)
         i = range(len(self))[index]
         return next(iter(self[i : i + 1]))
-
-    def __setitem__(self, index, record) -> None:
-        if not isinstance(record, SteadyRecord):
-            raise TypeError(f"a SteadyTable row must be a SteadyRecord, got {type(record).__name__}")
-        i = range(len(self))[index]
-        for name, column in self.columns.items():
-            value = getattr(record, name)
-            column[i] = math.nan if value is None else value
-
-    def __add__(self, other):
-        if not isinstance(other, (SteadyTable, list, tuple)):
-            return NotImplemented
-        pairs = zip(self.columns.items(), SteadyTable.of(other).columns.values())
-        joined = {name: a + b if isinstance(a, list) else np.concatenate([a, b]) for (name, a), b in pairs}
-        return SteadyTable._wrap(joined)
-
-    def __radd__(self, other):
-        return SteadyTable.of(other) + self if isinstance(other, (list, tuple)) else NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, SteadyTable):

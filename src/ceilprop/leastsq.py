@@ -1,8 +1,7 @@
-"""Small-problem least squares: origin slopes, projected Gauss-Newton, grid oracle."""
+"""Small-problem least squares: origin slopes and projected Gauss-Newton."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,6 @@ __all__ = [
     "IdentifiabilityError",
     "slope_through_origin",
     "gauss_newton",
-    "grid_oracle",
 ]
 
 
@@ -146,38 +144,3 @@ def gauss_newton(residual, x0, bounds, names=None, columns=False):
         notes=notes,
     )
     return x, report
-
-
-def grid_oracle(objective, bounds, resolution: int = 100):
-    """Exhaustive grid minimization of a scalar objective over box bounds.
-
-    Brute-force reference for checking iterative fits: evaluates the
-    objective on a full cartesian grid (up to 3 axes) and returns
-    (best_params, best_value).  The objective takes a 1-d parameter vector;
-    if it also accepts an (n, d) batch and returns (n,) values, the batch
-    path is used.
-    """
-    if len(bounds) == 0:
-        raise ValueError("bounds must not be empty")
-    if len(bounds) > 3:
-        raise ValueError("grid oracle supports at most 3 parameters")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2 per axis")
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-
-    values = None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scalar-only objectives may complain at the batch probe
-            batch = np.asarray(objective(points), dtype=float)
-        if batch.shape == (len(points),):
-            values = batch
-    except Exception:
-        values = None
-    if values is None:
-        values = np.array([float(objective(p)) for p in points])
-
-    best = int(np.argmin(values))
-    return points[best].copy(), float(values[best])

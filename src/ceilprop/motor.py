@@ -15,7 +15,6 @@ from .leastsq import FitReport, IdentifiabilityError, slope_through_origin
 
 __all__ = [
     "MotorParams",
-    "PowerBreakdown",
     "mechanical_power_from_torque",
     "mechanical_power_from_motor",
     "identify_motor",
@@ -35,22 +34,6 @@ class MotorParams:
             raise ValueError(f"resistance must be positive, got {self.resistance}")
         if not (math.isfinite(self.back_emf) and self.back_emf > 0.0):
             raise ValueError(f"back-EMF constant must be positive, got {self.back_emf}")
-
-
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Input, shaft, and aerodynamic power of one motor-propeller unit [W]."""
-
-    input_power: float
-    mechanical_power: float
-    aerodynamic_power: float
-
-    def __post_init__(self):
-        if not (self.input_power >= self.mechanical_power >= self.aerodynamic_power >= 0.0):
-            raise ValueError(
-                "powers must satisfy input >= mechanical >= aerodynamic >= 0, got "
-                f"({self.input_power}, {self.mechanical_power}, {self.aerodynamic_power})"
-            )
 
 
 def mechanical_power_from_torque(torque, omega):

@@ -39,7 +39,6 @@ from ceilprop import (
     fit_ceiling_params,
     fit_eta_gamma,
     flight_coefficient_points,
-    grid_oracle,
     identify_motor,
     induced_velocity,
     inflow_ratio,
@@ -49,6 +48,8 @@ from ceilprop import (
     thrust_coefficient,
     torque_coefficient,
 )
+
+from _helpers import grid_oracle
 
 RHO = 1.2
 ENV = Environment(air_density=RHO)

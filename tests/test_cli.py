@@ -180,7 +180,7 @@ class TestPipeline:
         assert run("fit-blade", "--input", records_file, "--params", fit) == 2
 
     def test_fit_gamma_mixed_radii_writes_nothing(self, records_file, tmp_path):
-        records = read_steady_csv(records_file)
+        records = list(read_steady_csv(records_file))
         records[3] = dataclasses.replace(records[3], radius=0.05)
         mixed = tmp_path / "mixed.csv"
         write_steady_csv(records, mixed)
@@ -211,7 +211,7 @@ class TestPipeline:
         assert run("fit-gamma", "--input", records_file, "--out", gamma_csv, "--params", fit) == 0
         assert run("fit-ceiling", "--input", gamma_csv, "--params", fit, "--reduced") == 0
         before = fit.read_bytes()
-        records = read_steady_csv(records_file)
+        records = list(read_steady_csv(records_file))
         records[3] = dataclasses.replace(records[3], **{field: value})
         mixed = tmp_path / "mixed.csv"
         write_steady_csv(records, mixed)
@@ -234,7 +234,7 @@ class TestPipeline:
         assert fit.read_text() == text + "\n"
 
     def test_fit_gamma_negative_torque_is_data_error(self, records_file, tmp_path, capsys):
-        records = read_steady_csv(records_file)
+        records = list(read_steady_csv(records_file))
         records[7] = dataclasses.replace(records[7], torque=-1e-6)
         bad = tmp_path / "bad.csv"
         write_steady_csv(records, bad)
@@ -496,7 +496,7 @@ class TestFitMotorOneRig:
             [0.01, 1.0], [900.0, 2000.0, 2800.0], env=env, config_id="big",
         )
         mixed = tmp_path / "mixed.csv"
-        write_steady_csv(read_steady_csv(records_file) + large, mixed)
+        write_steady_csv([*read_steady_csv(records_file), *large], mixed)
         capsys.readouterr()
         assert run("fit-motor", "--input", mixed, "--params", fit) == 2
         assert "records mix several radius values: [0.023, 0.05]" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ceilprop import (
     CeilingParams,
     Environment,
-    GapRatio,
     aerodynamic_power,
     ceiling_coefficient,
     flow_state,
@@ -72,23 +71,6 @@ class TestCeilingCoefficient:
     def test_negative_recirculation_rejected(self):
         with pytest.raises(ValueError):
             CeilingParams(asymmetry=1.0, recirculation=-1e-9)
-
-
-class TestGapRatio:
-    def test_from_distance(self):
-        assert GapRatio.from_distance(0.023, 0.001).delta == pytest.approx(23.0)
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError):
-            GapRatio.from_distance(0.023, 0.0)
-
-    def test_negative_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            GapRatio(-1.0)
-
-    def test_accepted_by_operations(self):
-        params = CeilingParams(1.6)
-        assert ceiling_coefficient(GapRatio(8.0), params) == ceiling_coefficient(8.0, params)
 
 
 class TestInducedVelocityAndPower:

@@ -15,12 +15,12 @@ from ceilprop import (
     MotorParams,
     PropellerGeometry,
     SteadyRecord,
+    SteadyTable,
     ceiling_coefficient,
     fit_blade_coefficients,
     fit_ceiling_params,
     fit_eta_gamma,
     flight_coefficient_points,
-    grid_oracle,
     synthesize_dataset,
     thrust_coefficient,
     torque_coefficient,
@@ -28,6 +28,8 @@ from ceilprop import (
 from ceilprop import leastsq
 from ceilprop.bemt import _thrust_coefficient, _torque_coefficient
 from ceilprop.core import _ceiling_coefficient
+
+from _helpers import grid_oracle
 
 RHO = 1.2
 
@@ -182,11 +184,11 @@ class TestFitEtaGamma:
     def test_negative_shaft_power_input_rejected(
         self, geom_23mm, single_prop_ceiling, bench_motor, env, field, value, message
     ):
-        records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
+        records = list(synth(geom_23mm, single_prop_ceiling, bench_motor, env))
         changes = {field: value} if field == "torque" else {field: value, "torque": None}
         records[5] = dataclasses.replace(records[5], **changes)
         with pytest.raises(ValueError, match=message):
-            fit_eta_gamma(records, env, motor=bench_motor)
+            fit_eta_gamma(SteadyTable.of(records), env, motor=bench_motor)
 
     def test_close_anchor_rejected(self, geom_23mm, single_prop_ceiling, bench_motor, env):
         records = synth(
@@ -200,7 +202,7 @@ class TestFitEtaGamma:
         records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
         lone = synth(geom_23mm, single_prop_ceiling, bench_motor, env, distances=np.array([0.0005]))[:1]
         with pytest.warns(UserWarning, match="fewer than 2"):
-            eta, points = fit_eta_gamma(records + lone, env)
+            eta, points = fit_eta_gamma(SteadyTable.of([*records, *lone]), env)
         assert len(points) == 21
 
     def test_zero_power_group_skipped_with_warning(self, geom_23mm, single_prop_ceiling, bench_motor, env):
@@ -226,14 +228,14 @@ class TestOneRigRule:
         small = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
         large = synth(geom_50mm, single_prop_ceiling, bench_motor, env, config_id="big")
         with pytest.raises(ValueError, match=re.escape("several radius values: [0.023, 0.05]")):
-            fit(small + large, env)
+            fit(SteadyTable.of([*small, *large]), env)
 
     @pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
     def test_mixed_configurations_rejected(self, fit, geom_23mm, single_prop_ceiling, bench_motor, env):
-        records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
+        records = list(synth(geom_23mm, single_prop_ceiling, bench_motor, env))
         records[-1] = dataclasses.replace(records[-1], config_id="big")
         with pytest.raises(ValueError, match=re.escape("several config_id values: ['big', 'synth']")):
-            fit(records, env)
+            fit(SteadyTable.of(records), env)
 
 
 class TestFitCeilingParams:

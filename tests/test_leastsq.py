@@ -14,13 +14,14 @@ from ceilprop import (
     fit_blade_coefficients,
     fit_ceiling_params,
     gauss_newton,
-    grid_oracle,
     slope_through_origin,
     thrust_coefficient,
     torque_coefficient,
 )
 from ceilprop import leastsq
 from ceilprop.leastsq import IdentifiabilityError, _group_slopes, _numeric_jacobian
+
+from _helpers import grid_oracle
 
 # magnitudes whose squares neither underflow nor overflow
 REGRESSOR = st.floats(0.01, 100.0) | st.floats(-100.0, -0.01)

@@ -7,7 +7,7 @@ import pytest
 from ceilprop import (
     IdentifiabilityError,
     MotorParams,
-    PowerBreakdown,
+    SteadyTable,
     identify_motor,
     input_power_from_mechanical,
     mechanical_power_from_motor,
@@ -154,11 +154,6 @@ class TestParams:
         with pytest.raises(ValueError):
             MotorParams(resistance=1.0, back_emf=0.0)
 
-    def test_power_breakdown_ordering_enforced(self):
-        PowerBreakdown(input_power=1.0, mechanical_power=0.7, aerodynamic_power=0.35)
-        with pytest.raises(ValueError):
-            PowerBreakdown(input_power=0.5, mechanical_power=0.7, aerodynamic_power=0.35)
-
 
 class TestIdentifyMotorOneRig:
     def test_mixed_radii_rejected(self, geom_23mm, geom_50mm, single_prop_ceiling, bench_motor, env):
@@ -168,7 +163,7 @@ class TestIdentifyMotorOneRig:
             env=env, config_id="big",
         )
         with pytest.raises(ValueError, match=re.escape("records mix several radius values: [0.023, 0.05]")):
-            identify_motor(small + large)
+            identify_motor(SteadyTable.of([*small, *large]))
         with pytest.raises(ValueError, match=re.escape("records mix several radius values: [0.023, 0.05]")):
             identify_motor(list(small) + list(large))
 
