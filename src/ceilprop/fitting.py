@@ -18,6 +18,7 @@ The pipeline mirrors how the bench data is reduced:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -83,7 +84,7 @@ class _RowError(ValueError):
         self.row, self.message, self.column = row, message, column
 
 
-# (field, rule) in the order SteadyRecord checks them
+# (field, rule) in the order SteadyRecord checks them: the numbers, then the labels
 _CHECKS = (
     ("distance", "must be positive"),
     ("radius", "must be positive"),
@@ -94,8 +95,10 @@ _CHECKS = (
     ("thrust", "must be >= 0"),
     ("omega", "must be positive"),
     ("prop_count", "must be an integer >= 1"),
+    ("config_id", "must be a str"),
+    ("setpoint", "must be a str"),
 )
-_POSITIVE = np.array([[rule == "must be positive"] for _, rule in _CHECKS])
+_POSITIVE = np.array([[rule == "must be positive"] for _, rule in _CHECKS[:-2]])
 _NUMBERS = (int, float, np.integer, np.floating)
 
 
@@ -109,7 +112,11 @@ def _check_steady(columns) -> None:
     wrong = {t for t in set(map(type, counts)) if issubclass(t, bool) or not issubclass(t, _NUMBERS)}
     if wrong:
         counts = [math.nan if type(v) in wrong else v for v in counts]
-    values = np.array([counts if name == "prop_count" else columns[name] for name, _ in _CHECKS], dtype=float)
+    try:
+        floats = np.array(counts, dtype=float)
+    except OverflowError:  # an int too large for a float, which reads nan
+        floats = [v if abs(v) <= sys.float_info.max else math.nan for v in counts]
+    values = np.array([floats if name == "prop_count" else columns[name] for name, _ in _CHECKS[:-2]], dtype=float)
     bad = ~np.isfinite(values) | (_POSITIVE & (values <= 0.0))
     bad[6] = values[6] < 0.0  # the row of the thrust sign
     bad[8] |= (values[8] < 1.0) | (values[8] != np.round(values[8]))
@@ -118,6 +125,9 @@ def _check_steady(columns) -> None:
     torque = columns["torque"]
     if not isinstance(torque, np.ndarray):  # an array holds no None
         bad[5] &= np.array([v is not None for v in torque], dtype=bool)
+    for labels in (columns["config_id"], columns["setpoint"]):  # a str, so that its cell reads back as written
+        all_str = (isinstance(labels, np.ndarray) and labels.dtype.kind == "U") or set(map(type, labels)) <= {str}
+        bad = np.vstack([bad, np.zeros(len(labels), bool) if all_str else [not isinstance(v, str) for v in labels]])
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
         name, rule = _CHECKS[int(np.argmax(bad[:, i]))]
@@ -248,16 +258,14 @@ def _distance_groups(records):
     # each group by increasing distance); torque reads nan where not measured,
     # and groups of fewer than 2 records are dropped with a warning
     table = _one_rig(records)
-    _, group, counts = np.unique(table.distance, return_inverse=True, return_counts=True)
-    keep = counts[group] >= 2
-    for lone in np.sort(table.distance[~keep]).tolist():
+    distance, group, counts = np.unique(table.distance, return_inverse=True, return_counts=True)
+    kept = counts >= 2
+    for lone in distance[~kept].tolist():
         warnings.warn(f"skipping distance {lone} m: fewer than 2 setpoints")
-    names = ("radius", "distance", "voltage", "current", "thrust", "torque", "omega")
-    columns = {name: getattr(table, name)[keep] for name in names}
-    distance, group = np.unique(columns["distance"], return_inverse=True)
-    delta = np.empty(len(distance))
-    delta[group] = columns["radius"] / columns["distance"]
-    return columns, group, distance, delta
+    keep = kept[group]
+    columns = {name: getattr(table, name)[keep] for name in ("radius", *NOISE_CHANNELS)}
+    distance = distance[kept]
+    return columns, (np.cumsum(kept) - 1)[group[keep]], distance, table.radius[:1] / distance  # one rig, one radius
 
 
 def fit_eta_gamma(

@@ -551,42 +551,31 @@ def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability
         raise ValueError(f"stream spans {duration:.3g} s, shorter than the {window:.3g} s window")
     dt = float(np.median(np.diff(stream.time)))
     width = max(2, int(round(window / dt)))
-
-    channels = {
-        "voltage": stream.voltage,
-        "current": stream.current,
-        "thrust": stream.thrust,
-        "omega": stream.omega,
-    }
-    if stream.torque is not None:
-        channels["torque"] = stream.torque
+    names = [name for name in _CHANNELS[2:] if getattr(stream, name) is not None]  # torque may be missing
 
     # contiguous runs of one setpoint label are treated as one segment
     labels = np.asarray(stream.setpoint)
-    boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [len(labels)]])
-    kept, windows = [], []  # label and window start of each segment with a steady window
-    for seg_start, seg_stop in zip(starts, stops):
+    edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(labels)]
+    kept, means = [], []  # label and channel means of each segment with a steady window
+    for seg_start, seg_stop in itertools.pairwise(edges):
         label = str(labels[seg_start])
         n = seg_stop - seg_start
         if n < width:
             warnings.warn(f"setpoint {label}: segment shorter than the averaging window; skipped")
             continue
         steady = np.ones(n - width + 1, dtype=bool)
-        for values in channels.values():
-            mean, std = _moving_stats(np.asarray(values[seg_start:seg_stop], dtype=float), width)
+        for name in names:  # one channel at a time, as stacking them raises the peak memory several times
+            mean, std = _moving_stats(np.asarray(getattr(stream, name)[seg_start:seg_stop], dtype=float), width)
             steady &= std / np.maximum(np.abs(mean), 1e-300) < stability_tol
         if not np.any(steady):
             warnings.warn(f"setpoint {label}: no steady window found; skipped")
             continue
         kept.append(label)
-        windows.append(int(np.flatnonzero(steady)[-1]) + seg_start)
-
-    def means(values):
-        return np.array([np.mean(values[start : start + width]) for start in windows])
+        start = int(np.flatnonzero(steady)[-1]) + seg_start
+        means.append([np.mean(getattr(stream, name)[start : start + width]) for name in names])
 
     n = len(kept)
+    columns = dict(zip(names, np.reshape(means, (n, len(names))).T))
     return SteadyTable(
         [stream.config_id] * n,
         np.full(n, stream.radius),
@@ -594,11 +583,7 @@ def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability
         np.full(n, stream.spacing),
         np.full(n, stream.distance),
         kept,
-        means(stream.voltage),
-        means(stream.current),
-        means(stream.thrust),
-        [None] * n if stream.torque is None else means(stream.torque),
-        means(stream.omega),
+        *(columns.get(name, [None] * n) for name in _CHANNELS[2:]),
     )
 
 

@@ -205,6 +205,16 @@ class TestFitEtaGamma:
             eta, points = fit_eta_gamma(SteadyTable.of([*records, *lone]), env)
         assert len(points) == 21
 
+    def test_lone_record_between_kept_groups_changes_nothing(self, geom_23mm, single_prop_ceiling, bench_motor, env):
+        # the groups above the lone record's distance are numbered one lower once it is dropped
+        records = synth(geom_23mm, single_prop_ceiling, bench_motor, env, noise=0.01, seed=5)
+        middle = math.sqrt(SHORT_SCHEDULE["distances"][9] * SHORT_SCHEDULE["distances"][10])
+        lone = synth(geom_23mm, single_prop_ceiling, bench_motor, env, distances=np.array([middle]))[:1]
+        with_lone = SteadyTable.of([*records[:30], *lone, *records[30:]])
+        with pytest.warns(UserWarning, match=re.escape(f"skipping distance {middle} m: fewer than 2")):
+            fit, coefficients = fit_eta_gamma(with_lone, env), flight_coefficient_points(with_lone)
+        assert fit == fit_eta_gamma(records, env) and coefficients == flight_coefficient_points(records)
+
     def test_zero_power_group_skipped_with_warning(self, geom_23mm, single_prop_ceiling, bench_motor, env):
         records = synth(geom_23mm, single_prop_ceiling, bench_motor, env)
         closest = records[0].distance

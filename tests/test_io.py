@@ -592,6 +592,29 @@ class TestSteadyStateExtract:
         (record,) = steady_state_extract(stream)
         assert record.torque is None
 
+    def test_unsettled_torque_skips_its_segment(self):
+        # the other four channels are flat; torque wobbles by 20% throughout setpoint b
+        n = 3000
+        ch = constant_channels(2 * n)
+        ch["torque"][n:] *= 1.0 + 0.2 * np.sin(2.0 * np.pi * 2.5 * np.arange(n) / self.RATE)
+        stream = make_stream(np.arange(2 * n) / self.RATE, ["a"] * n + ["b"] * n, ch)
+        with pytest.warns(UserWarning, match="setpoint b: no steady window found; skipped"):
+            records = steady_state_extract(stream)
+        assert [r.setpoint for r in records] == ["a"]
+
+    def test_kept_window_starts_after_the_last_channel_settles(self):
+        # omega, the last channel, steps from 1000 to 2000 rad/s after every other
+        # channel is flat: at sample 300 of setpoint a, whose last window starts at
+        # 600, and at sample 1000 of setpoint b, after the start of its last window
+        n = 2600
+        ch = constant_channels(2 * n)
+        ch["omega"][:300] = ch["omega"][n : n + 1000] = 1000.0
+        stream = make_stream(np.arange(2 * n) / self.RATE, ["a"] * n + ["b"] * n, ch)
+        with pytest.warns(UserWarning, match="setpoint b: no steady window found; skipped"):
+            (record,) = steady_state_extract(stream)
+        means = (record.voltage, record.current, record.thrust, record.torque, record.omega)
+        assert record.setpoint == "a" and means == pytest.approx((3.0, 1.0, 0.05, 1e-4, 2000.0), rel=1e-12)
+
     def test_decreasing_timestamps_rejected(self):
         n = 3000
         time = np.arange(n) / self.RATE

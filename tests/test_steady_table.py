@@ -104,7 +104,10 @@ class TestValidation:
         back = read_steady_csv(tmp_path / "steady.csv")
         assert back == records and back[1].prop_count == count and type(back[1].prop_count) is int
 
-    @pytest.mark.parametrize("count", [2**53 + 1, np.int64(2**53 + 1), "2", "2.0"])
+    @pytest.mark.parametrize("count", [
+        2**53 + 1, np.int64(2**53 + 1), "2", "2.0", pytest.param(10**400, id="10**400"),
+        pytest.param(-(10**400), id="-10**400"),
+    ])
     def test_prop_count_that_would_not_read_back_rejected(self, count):
         # an int its float rounds reads back rounded, and a str is written as given
         row = ["c", 0.023, count, 0.0, 0.01, "s", 3.0, 1.0, 0.05, None, 2000.0]
@@ -112,6 +115,41 @@ class TestValidation:
             SteadyRecord(*row)
         with pytest.raises(ValueError, match="prop_count must be an integer >= 1"):
             SteadyTable(*([value] for value in row))
+
+    @pytest.mark.parametrize("field, value", [(name, value) for name, values in BAD_VALUES.items() for value in values])
+    def test_every_bad_value_gives_the_records_error(self, field, value):
+        # the property need not draw every value, so each one is tried in the last of 3 rows
+        rows = [["c", 0.023, 1, 0.0, 0.01, f"s{i}", 3.0, 1.0, 0.05, 1e-4, 2000.0] for i in range(3)]
+        rows[2][FIELDS.index(field)] = value
+        expected = first_record_error(rows)
+        assert expected is not None
+        with pytest.raises(ValueError) as raised:
+            SteadyTable(*(list(column) for column in zip(*rows)))
+        assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("field", ["config_id", "setpoint"])
+    @pytest.mark.parametrize("label", [5, 7.0, None])
+    def test_label_that_is_not_a_str_rejected(self, field, label):
+        # a label is written as str(label), so only a str reads back as written
+        row = ["c", 0.023, 1, 0.0, 0.01, "s", 3.0, 1.0, 0.05, None, 2000.0]
+        row[FIELDS.index(field)] = label
+        message = f"{field} must be a str, got {label}"
+        with pytest.raises(ValueError) as raised:
+            SteadyRecord(*row)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            SteadyTable(*([value] for value in row))
+        assert str(raised.value) == message
+
+    def test_label_judged_after_the_numbers_of_its_row(self):
+        good = ["c", 0.023, 1, 0.0, 0.01, "s", 3.0, 1.0, 0.05, None, 2000.0]
+        bad_label = ["c", 0.023, 1, 0.0, 0.01, 5, 3.0, 1.0, 0.05, None, 2000.0]
+        both = ["c", 0.023, 1, 0.0, 0.01, 5, 3.0, 1.0, 0.05, None, 0.0]
+        cases = (([both], "omega must be positive, got 0.0"), ([bad_label, both], "setpoint must be a str, got 5"))
+        for rows, message in cases:
+            with pytest.raises(ValueError) as raised:
+                SteadyTable(*(list(column) for column in zip(good, *rows)))
+            assert str(raised.value) == message
 
     def test_columns_of_different_length_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
