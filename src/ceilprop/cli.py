@@ -282,13 +282,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ceilprop", description="Ceiling-effect propeller models and bench-data fits.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
+    density = argparse.ArgumentParser(add_help=False)  # the one --density of the commands that take it
+    density.add_argument(
+        "--density", type=float, default=Environment().air_density, help="air density [kg/m^3] (default %(default)s)"
+    )
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, handler, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("synth", _cmd_synth, "generate a synthetic steady-state dataset from model parameters")
+    p = add("synth", _cmd_synth, "generate a synthetic steady-state dataset from model parameters", density)
     p.add_argument("--params", required=True, help="parameter file with geometry, ceiling, and motor")
     p.add_argument("--out", required=True, help="output steady-state CSV")
     p.add_argument("--distances", required=True, help="ceiling distances [m], start:stop:count or comma list")
@@ -296,7 +300,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--log", action="store_true", help="space distance ranges logarithmically")
     p.add_argument("--noise", type=float, default=0.0, help="relative noise sigma per channel (default 0)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--density", type=float, default=1.2, help="air density [kg/m^3] (default 1.2)")
     p.add_argument("--config-id", default="synth")
     p.add_argument("--prop-count", type=int, default=1)
     p.add_argument("--spacing", type=float, default=0.0)
@@ -316,11 +319,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="steady-state CSV with torque")
     p.add_argument("--params", required=True, help="parameter file to update")
 
-    p = add("fit-gamma", _cmd_fit_gamma, "fit figure of merit and per-distance ceiling factors")
+    p = add("fit-gamma", _cmd_fit_gamma, "fit figure of merit and per-distance ceiling factors", density)
     p.add_argument("--input", required=True, help="steady-state CSV")
     p.add_argument("--out", required=True, help="output ceiling-factor CSV")
     p.add_argument("--params", required=True, help="parameter file to update")
-    p.add_argument("--density", type=float, default=1.2, help="air density [kg/m^3] (default 1.2)")
     p.add_argument("--motor-params", help="parameter file with motor constants, for records without torque")
     p.add_argument("--max-anchor-delta", type=float, default=0.5, help="max gap ratio of the anchor group")
 
@@ -329,25 +331,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--params", required=True, help="parameter file to update")
     p.add_argument("--reduced", action="store_true", help="pin recirculation to 0")
 
-    p = add("fit-blade", _cmd_fit_blade, "fit lumped blade constants to coefficient-vs-delta data")
+    p = add("fit-blade", _cmd_fit_blade, "fit lumped blade constants to coefficient-vs-delta data", density)
     p.add_argument("--input", required=True, help="steady-state CSV with torque")
     p.add_argument("--params", required=True, help="parameter file with figure of merit and ceiling fit")
-    p.add_argument("--density", type=float, default=1.2, help="air density [kg/m^3] (default 1.2)")
 
-    p = add("predict-coeffs", _cmd_predict_coeffs, "tabulate modeled flight coefficients vs gap ratio")
+    p = add("predict-coeffs", _cmd_predict_coeffs, "tabulate modeled flight coefficients vs gap ratio", density)
     p.add_argument("--params", required=True)
     p.add_argument("--deltas", required=True, help="gap ratios, start:stop:count or comma list")
     p.add_argument("--log", action="store_true")
-    p.add_argument("--density", type=float, default=1.2)
     p.add_argument("--out", required=True)
 
-    p = add("power-saving", _cmd_power_saving, "hover power versus ceiling distance")
+    p = add("power-saving", _cmd_power_saving, "hover power versus ceiling distance", density)
     p.add_argument("--params", required=True)
     p.add_argument("--thrust", type=float, required=True, help="required thrust per propeller [N]")
     p.add_argument("--distances", required=True, help="ceiling distances [m], start:stop:count or comma list")
     p.add_argument("--log", action="store_true")
     p.add_argument("--c-tau", type=float, help="constant torque coefficient [N m s^2/rad^2]")
-    p.add_argument("--density", type=float, default=1.2)
     p.add_argument("--out", required=True)
 
     p = add("resonance", _cmd_resonance, "tabulate the resonance-scaling product vs gap ratio")

@@ -69,7 +69,7 @@ class SteadyRecord:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        _check_steady({name: (getattr(self, name),) for name, _ in _CHECKS})
+        _check_steady({name: (getattr(self, name),) for name in _FIELDS})
         object.__setattr__(self, "delta", self.radius / self.distance)
 
 
@@ -88,6 +88,7 @@ class _RowError(ValueError):
 _CHECKS = (
     ("distance", "must be positive"),
     ("radius", "must be positive"),
+    ("spacing", "must be finite"),
     ("voltage", "must be finite"),
     ("current", "must be finite"),
     ("thrust", "must be finite"),
@@ -98,41 +99,48 @@ _CHECKS = (
     ("config_id", "must be a str"),
     ("setpoint", "must be a str"),
 )
-_POSITIVE = np.array([[rule == "must be positive"] for _, rule in _CHECKS[:-2]])
-_NUMBERS = (int, float, np.integer, np.floating)
+_POSITIVE = np.array([[rule == "must be positive"] for _, rule in _CHECKS])
+_LABELS = ("config_id", "setpoint")
 
 
-def _check_steady(columns) -> None:
-    # raise _RowError for the first value SteadyRecord rejects in columns (one
-    # sequence per field, torque None where not measured), first in row order,
-    # then in the order of _CHECKS, with the value shown as given
-    # prop_count: an int or a float that is a finite integer >= 1, and an int equal to its float,
-    # so that its cell reads back (a bool is written 'True', a str as given); others read nan
-    counts = columns["prop_count"]
-    wrong = {t for t in set(map(type, counts)) if issubclass(t, bool) or not issubclass(t, _NUMBERS)}
-    if wrong:
-        counts = [math.nan if type(v) in wrong else v for v in counts]
+def _read(column, kind=(int, float, np.integer, np.floating)) -> np.ndarray:
+    # a checked field as floats: a value of kind that is not a bool as its float (a str as 0), any other nan
+    if kind is not str and isinstance(column, np.ndarray) and column.dtype.kind in "fiu":  # numbers throughout
+        return column.astype(float)
+    wrong = {t for t in set(map(type, column)) if issubclass(t, bool) or not issubclass(t, kind)}
+    if kind is str:
+        return np.array([math.nan if type(v) in wrong else 0.0 for v in column]) if wrong else np.zeros(len(column))
+    column = [math.nan if type(v) in wrong else v for v in column] if wrong else column
     try:
-        floats = np.array(counts, dtype=float)
-    except OverflowError:  # an int too large for a float, which reads nan
-        floats = [v if abs(v) <= sys.float_info.max else math.nan for v in counts]
-    values = np.array([floats if name == "prop_count" else columns[name] for name, _ in _CHECKS[:-2]], dtype=float)
+        return np.array(column, dtype=float)
+    except OverflowError:  # an int beyond float range reads nan
+        return np.array([v if abs(v) <= sys.float_info.max else math.nan for v in column], dtype=float)
+
+
+def _shown(value) -> str:
+    try:
+        return repr(value.item() if isinstance(value, np.generic) else value)
+    except ValueError:  # an int beyond Python's digit limit for str(), shown by its size
+        return f"an int of {value.bit_length()} bits"
+
+
+def _check_steady(columns) -> dict:
+    # columns (one sequence per field, torque None where not measured) read as floats, by field name;
+    # _RowError for the first value SteadyRecord rejects, first in row order, then in the order of _CHECKS
+    floats = {name: _read(column, str) if name in _LABELS else _read(column) for name, column in columns.items()}
+    values = np.array([floats[name] for name, _ in _CHECKS])
     bad = ~np.isfinite(values) | (_POSITIVE & (values <= 0.0))
-    bad[6] = values[6] < 0.0  # the row of the thrust sign
-    bad[8] |= (values[8] < 1.0) | (values[8] != np.round(values[8]))
-    for i in np.flatnonzero(np.isfinite(values[8]) & (values[8] >= 2.0**53)):
-        bad[8, i] |= int(counts[i]) != int(values[8, i])  # as Python ints: numpy compares them as floats
-    torque = columns["torque"]
-    if not isinstance(torque, np.ndarray):  # an array holds no None
-        bad[5] &= np.array([v is not None for v in torque], dtype=bool)
-    for labels in (columns["config_id"], columns["setpoint"]):  # a str, so that its cell reads back as written
-        all_str = (isinstance(labels, np.ndarray) and labels.dtype.kind == "U") or set(map(type, labels)) <= {str}
-        bad = np.vstack([bad, np.zeros(len(labels), bool) if all_str else [not isinstance(v, str) for v in labels]])
+    bad[7] = values[7] < 0.0  # the row of the thrust sign
+    bad[9] |= (values[9] < 1.0) | (values[9] != np.round(values[9]))
+    for i in np.flatnonzero(np.isfinite(values[9]) & (values[9] >= 2.0**53)):  # an int must equal its float
+        bad[9, i] |= int(columns["prop_count"][i]) != int(values[9, i])  # as Python ints: numpy compares them as floats
+    if not isinstance(torque := columns["torque"], np.ndarray) or torque.dtype == object:  # None: not measured
+        bad[6] &= np.array([v is not None for v in torque], dtype=bool)
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
         name, rule = _CHECKS[int(np.argmax(bad[:, i]))]
-        value = columns[name][i]
-        raise _RowError(i, f"{name} {rule}, got {value.item() if isinstance(value, np.generic) else value}")
+        raise _RowError(i, f"{name} {rule}, got {_shown(columns[name][i])}")
+    return floats
 
 
 class SteadyTable:
@@ -162,26 +170,16 @@ class SteadyTable:
         given = {name: args[name] for name in _FIELDS}
         if len({len(column) for column in given.values()}) > 1:
             raise ValueError("steady columns differ in length")
-        _check_steady(given)
+        floats = _check_steady(given)
         for name, column in given.items():
-            if name in ("config_id", "setpoint"):
-                column = column.tolist() if isinstance(column, np.ndarray) else list(column)
-            else:
-                column = np.array(column, dtype=object if name == "prop_count" else float)
-            setattr(self, name, column)
+            if name in _LABELS:
+                floats[name] = column.tolist() if isinstance(column, np.ndarray) else list(column)
+            setattr(self, name, np.array(column, dtype=object) if name == "prop_count" else floats[name])
 
     @classmethod
     def of(cls, records) -> SteadyTable:
         """records as a table: a table as it is, any other iterable of SteadyRecord transposed once."""
         return records if isinstance(records, cls) else cls(*_columns(SteadyRecord, records))
-
-    @classmethod
-    def _wrap(cls, columns) -> SteadyTable:
-        # a table holding columns (a field name: column map, in field order) as they are, unchecked
-        table = object.__new__(cls)
-        for name, column in columns.items():
-            setattr(table, name, column)
-        return table
 
     @property
     def columns(self) -> dict:
@@ -203,8 +201,10 @@ class SteadyTable:
 
     def __getitem__(self, index):
         if isinstance(index, slice):  # a copy, as a list slice is
-            part = {name: c[index] if isinstance(c, list) else c[index].copy() for name, c in self.columns.items()}
-            return SteadyTable._wrap(part)
+            part = object.__new__(SteadyTable)
+            for name, c in self.columns.items():
+                setattr(part, name, c[index] if isinstance(c, list) else c[index].copy())
+            return part
         i = range(len(self))[index]
         return next(iter(self[i : i + 1]))
 
@@ -227,14 +227,15 @@ class GammaPoint:
     n_points: int
 
     def __post_init__(self):
-        for name in ("delta", "gamma", "stderr"):
-            value = getattr(self, name)
+        # read as SteadyRecord's fields are, and n_points as its prop_count, so that every point reads back
+        *values, n = _read([self.delta, self.gamma, self.stderr, self.n_points]).tolist()
+        for name, value in zip(("delta", "gamma", "stderr"), values):
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {_shown(getattr(self, name))}")
         if self.gamma <= 0.0:
             raise ValueError(f"ceiling factor must be positive, got {self.gamma}")
-        if self.n_points < 2:
-            raise ValueError(f"a slope fit needs at least 2 points, got {self.n_points}")
+        if not (2.0 <= n and n.is_integer() and int(self.n_points) == int(n)):
+            raise ValueError(f"n_points must be an integer >= 2 for a slope fit, got {_shown(self.n_points)}")
 
 
 def _columns(cls, objects):

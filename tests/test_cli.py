@@ -53,6 +53,12 @@ class TestUsage:
         assert run("--help") == 0
         assert "synth" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["synth", "fit-gamma", "fit-blade", "predict-coeffs", "power-saving"])
+    def test_density_help_names_its_default(self, capsys, command):
+        assert run(command, "--help") == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"--density DENSITY air density [kg/m^3] (default {Environment().air_density})" in help_text
+
     def test_bad_range_syntax(self, truth_file, tmp_path):
         code = run(
             "synth", "--params", truth_file, "--out", tmp_path / "r.csv",

@@ -83,6 +83,20 @@ class TestGammaPoint:
         with pytest.raises(ValueError):
             GammaPoint(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_points", 2.5), ("n_points", "3"), ("n_points", True), ("n_points", 2**53 + 1),
+            ("delta", "0.1"), ("stderr", b"3"), pytest.param("gamma", 10**400, id="gamma-10**400"),
+        ],
+    )
+    def test_value_that_would_not_read_back_named_by_its_field(self, field, value):
+        # read as a steady field is: no TypeError or OverflowError escapes, and an accepted point reads back
+        kwargs = dict(delta=0.5, gamma=1.1, stderr=0.01, n_points=16)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            GammaPoint(**kwargs)
+
 
 class TestSynthesizeDataset:
     def test_zero_noise_satisfies_model_identities(self, geom_23mm, single_prop_ceiling, bench_motor, env):

@@ -28,6 +28,7 @@ FLOAT_FIELDS = ("radius", "spacing", "distance", "voltage", "current", "thrust",
 BAD_VALUES = {
     "distance": [0.0, -1.0, math.nan, math.inf],
     "radius": [0.0, -0.5, math.nan, -math.inf],
+    "spacing": [math.nan, -math.inf],
     "voltage": [math.nan, math.inf, -math.inf],
     "current": [math.nan, -math.inf],
     "thrust": [-1e-6, math.nan, math.inf],
@@ -35,6 +36,19 @@ BAD_VALUES = {
     "omega": [0.0, -2000.0, math.nan, math.inf],
     "prop_count": [0, -3, math.nan, math.inf, 2.5, 2**53 + 1],
 }
+
+# a value of a type its field does not take, an int beyond float range or beyond str()'s digit limit, and a
+# spacing that is not finite: each is named by its field, and shown by repr or, a long int, by its size
+WRONG_TYPED = [
+    *(
+        pytest.param(field, value, id=f"{field}-{name}")
+        for field in FIELDS
+        for name, value in (("str", "3.0"), ("bytes", b"3"), ("10**400", 10**400))
+        if not (field in ("config_id", "setpoint") and name == "str")
+    ),
+    *(pytest.param("spacing", value, id=f"spacing-{value}") for value in (math.nan, math.inf, None, "abc")),
+    *(pytest.param(field, 10**5000, id=f"{field}-10**5000") for field in ("prop_count", "config_id", "setpoint")),
+]
 
 
 @pytest.fixture
@@ -140,6 +154,20 @@ class TestValidation:
         with pytest.raises(ValueError) as raised:
             SteadyTable(*([value] for value in row))
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPED)
+    def test_wrong_typed_value_named_by_its_field(self, field, value):
+        # one reading for every field: no TypeError, OverflowError or digit-limit ValueError escapes
+        row = ["c", 0.023, 1, 0.0, 0.01, "s", 3.0, 1.0, 0.05, None, 2000.0]
+        row[FIELDS.index(field)] = value
+        with pytest.raises(ValueError) as record_error:
+            SteadyRecord(*row)
+        with pytest.raises(ValueError) as table_error:
+            SteadyTable(*([cell] for cell in row))
+        message = str(record_error.value)
+        assert message == str(table_error.value) and message.startswith(f"{field} must be ")
+        shown = f"an int of {value.bit_length()} bits" if value == 10**5000 else repr(value)
+        assert message.endswith(f", got {shown}")
 
     def test_label_judged_after_the_numbers_of_its_row(self):
         good = ["c", 0.023, 1, 0.0, 0.01, "s", 3.0, 1.0, 0.05, None, 2000.0]
