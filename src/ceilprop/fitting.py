@@ -69,7 +69,7 @@ class SteadyRecord:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        _check_steady({name: (getattr(self, name),) for name in _FIELDS})
+        _check(_CHECKS, {name: (getattr(self, name),) for name in _FIELDS})
         object.__setattr__(self, "delta", self.radius / self.distance)
 
 
@@ -99,22 +99,45 @@ _CHECKS = (
     ("config_id", "must be a str"),
     ("setpoint", "must be a str"),
 )
-_POSITIVE = np.array([[rule == "must be positive"] for _, rule in _CHECKS])
+# (field, rule[, name shown]) in the order GammaPoint checks them
+_GAMMA_CHECKS = (
+    ("delta", "must be finite"),
+    ("gamma", "must be finite"),
+    ("stderr", "must be finite"),
+    ("gamma", "must be positive", "ceiling factor"),
+    ("n_points", "must be an integer >= 2 for a slope fit"),
+)
+# each rule by its text: the least value it takes and whether it takes only integers; none takes a non-finite value
+_RULES = {
+    "must be finite": (-math.inf, False),
+    "must be positive": (math.ulp(0.0), False),  # the least positive float
+    "must be >= 0": (0.0, False),
+    "must be an integer >= 1": (1.0, True),
+    "must be an integer >= 2 for a slope fit": (2.0, True),
+    "must be a str": (-math.inf, False),  # _read reads a str as 0
+}
 _LABELS = ("config_id", "setpoint")
 
 
 def _read(column, kind=(int, float, np.integer, np.floating)) -> np.ndarray:
-    # a checked field as floats: a value of kind that is not a bool as its float (a str as 0), any other nan
+    # a checked field as floats: a value of kind that is not a bool as its float (a str as 0), any other nan, and
+    # an int that its float does not equal (beyond float range, or rounded above 2**53) nan, so that it reads back
     if kind is not str and isinstance(column, np.ndarray) and column.dtype.kind in "fiu":  # numbers throughout
-        return column.astype(float)
-    wrong = {t for t in set(map(type, column)) if issubclass(t, bool) or not issubclass(t, kind)}
-    if kind is str:
-        return np.array([math.nan if type(v) in wrong else 0.0 for v in column]) if wrong else np.zeros(len(column))
-    column = [math.nan if type(v) in wrong else v for v in column] if wrong else column
-    try:
-        return np.array(column, dtype=float)
-    except OverflowError:  # an int beyond float range reads nan
-        return np.array([v if abs(v) <= sys.float_info.max else math.nan for v in column], dtype=float)
+        floats = column.astype(float)
+    else:
+        wrong = {t for t in set(map(type, column)) if issubclass(t, bool) or not issubclass(t, kind)}
+        if kind is str:
+            return np.array([math.nan if type(v) in wrong else 0.0 for v in column]) if wrong else np.zeros(len(column))
+        column = [math.nan if type(v) in wrong else v for v in column] if wrong else column
+        try:
+            floats = np.array(column, dtype=float)
+        except OverflowError:
+            floats = np.array([v if abs(v) <= sys.float_info.max else math.nan for v in column], dtype=float)
+    if getattr(column, "dtype", None) != float:  # a float array holds no int
+        for i in np.flatnonzero(np.abs(floats) >= 2.0**53):
+            if isinstance(column[i], (int, np.integer)) and int(column[i]) != int(floats[i]):  # as Python ints
+                floats[i] = math.nan
+    return floats
 
 
 def _shown(value) -> str:
@@ -124,22 +147,19 @@ def _shown(value) -> str:
         return f"an int of {value.bit_length()} bits"
 
 
-def _check_steady(columns) -> dict:
-    # columns (one sequence per field, torque None where not measured) read as floats, by field name;
-    # _RowError for the first value SteadyRecord rejects, first in row order, then in the order of _CHECKS
+def _check(checks, columns) -> dict:
+    # columns (one sequence per field, torque None where not measured) read as floats, by field name; _RowError for
+    # the first value a rule of checks, each (field, rule[, name shown]), rejects: in row order, then in check order
     floats = {name: _read(column, str) if name in _LABELS else _read(column) for name, column in columns.items()}
-    values = np.array([floats[name] for name, _ in _CHECKS])
-    bad = ~np.isfinite(values) | (_POSITIVE & (values <= 0.0))
-    bad[7] = values[7] < 0.0  # the row of the thrust sign
-    bad[9] |= (values[9] < 1.0) | (values[9] != np.round(values[9]))
-    for i in np.flatnonzero(np.isfinite(values[9]) & (values[9] >= 2.0**53)):  # an int must equal its float
-        bad[9, i] |= int(columns["prop_count"][i]) != int(values[9, i])  # as Python ints: numpy compares them as floats
-    if not isinstance(torque := columns["torque"], np.ndarray) or torque.dtype == object:  # None: not measured
-        bad[6] &= np.array([v is not None for v in torque], dtype=bool)
+    values = np.array([floats[name] for name, *_ in checks])
+    least, integer = (np.array(column)[:, None] for column in zip(*(_RULES[rule] for _, rule, *_ in checks)))
+    bad = ~np.isfinite(values) | (values < least) | (integer & (values != np.rint(values)))
+    if "torque" in columns and (not isinstance(torque := columns["torque"], np.ndarray) or torque.dtype == object):
+        bad[[name for name, *_ in checks].index("torque")] &= np.array([v is not None for v in torque], dtype=bool)
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
-        name, rule = _CHECKS[int(np.argmax(bad[:, i]))]
-        raise _RowError(i, f"{name} {rule}, got {_shown(columns[name][i])}")
+        name, rule, *shown = checks[int(np.argmax(bad[:, i]))]
+        raise _RowError(i, f"{(shown or [name])[0]} {rule}, got {_shown(columns[name][i])}")
     return floats
 
 
@@ -170,7 +190,7 @@ class SteadyTable:
         given = {name: args[name] for name in _FIELDS}
         if len({len(column) for column in given.values()}) > 1:
             raise ValueError("steady columns differ in length")
-        floats = _check_steady(given)
+        floats = _check(_CHECKS, given)
         for name, column in given.items():
             if name in _LABELS:
                 floats[name] = column.tolist() if isinstance(column, np.ndarray) else list(column)
@@ -227,15 +247,18 @@ class GammaPoint:
     n_points: int
 
     def __post_init__(self):
-        # read as SteadyRecord's fields are, and n_points as its prop_count, so that every point reads back
-        *values, n = _read([self.delta, self.gamma, self.stderr, self.n_points]).tolist()
-        for name, value in zip(("delta", "gamma", "stderr"), values):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {_shown(getattr(self, name))}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"ceiling factor must be positive, got {self.gamma}")
-        if not (2.0 <= n and n.is_integer() and int(self.n_points) == int(n)):
-            raise ValueError(f"n_points must be an integer >= 2 for a slope fit, got {_shown(self.n_points)}")
+        _check(_GAMMA_CHECKS, {name: (value,) for name, value in vars(self).items()})
+
+
+def _points(columns) -> list[GammaPoint]:
+    # points from columns by GammaPoint field, checked once as GammaPoint checks one, with plain float and int fields
+    _check(_GAMMA_CHECKS, columns)
+    points = []
+    for values in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())):
+        point = object.__new__(GammaPoint)  # from checked columns, so not checked again
+        vars(point).update(zip(columns, values))
+        points.append(point)
+    return points
 
 
 def _columns(cls, objects):
@@ -313,7 +336,7 @@ def fit_eta_gamma(
         )
     eta = float(1.0 / slope[-1])
     gamma, gamma_stderr = 1.0 / (eta * slope), stderr / (eta * slope * slope)
-    points = map(GammaPoint, delta.tolist(), gamma.tolist(), gamma_stderr.tolist(), n_points.tolist())
+    points = _points({"delta": delta, "gamma": gamma, "stderr": gamma_stderr, "n_points": n_points})
     return eta, sorted(points, key=lambda p: p.delta)
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .bemt import PropellerGeometry
 from .core import CeilingParams
-from .fitting import GammaPoint, SteadyTable, _columns, _RowError
+from .fitting import GammaPoint, SteadyTable, _columns, _points, _RowError
 from .motor import MotorParams
 
 __all__ = [
@@ -434,18 +434,7 @@ def write_gamma_csv(points, path) -> None:
 
 def read_gamma_csv(path) -> list[GammaPoint]:
     """Read ceiling-factor points written by write_gamma_csv."""
-
-    def build(columns):
-        # one GammaPoint per row; the spec lists its columns in GammaPoint's field order
-        points = []
-        for i, values in enumerate(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))):
-            try:
-                points.append(GammaPoint(*values))
-            except ValueError as exc:
-                raise _RowError(i, str(exc)) from None
-        return points
-
-    return _read_table(path, GAMMA_SPEC, build)
+    return _read_table(path, GAMMA_SPEC, _points)  # the spec's columns are GammaPoint's fields
 
 
 _CHANNELS = ("time", "setpoint", "voltage", "current", "thrust", "torque", "omega")  # RawSampleStream's, per sample

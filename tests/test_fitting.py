@@ -88,6 +88,7 @@ class TestGammaPoint:
         [
             ("n_points", 2.5), ("n_points", "3"), ("n_points", True), ("n_points", 2**53 + 1),
             ("delta", "0.1"), ("stderr", b"3"), pytest.param("gamma", 10**400, id="gamma-10**400"),
+            ("stderr", 2**53 + 1), ("delta", 2**53 + 1),
         ],
     )
     def test_value_that_would_not_read_back_named_by_its_field(self, field, value):
@@ -237,6 +238,13 @@ class TestFitEtaGamma:
             eta, points = fit_eta_gamma(idle, env)
         assert eta == pytest.approx(0.50, rel=1e-6)
         assert len(points) == 20
+
+    def test_points_are_those_built_one_at_a_time(self, geom_23mm, single_prop_ceiling, bench_motor, env):
+        # checked as columns, and built with plain float and int fields, as GammaPoint builds one point
+        records = synth(geom_23mm, single_prop_ceiling, bench_motor, env, noise=0.01, seed=7)
+        _, points = fit_eta_gamma(records, env)
+        one_at_a_time = [GammaPoint(float(p.delta), float(p.gamma), float(p.stderr), int(p.n_points)) for p in points]
+        assert points == one_at_a_time and repr(points) == repr(one_at_a_time)
 
 
 class TestOneRigRule:

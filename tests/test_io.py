@@ -320,6 +320,20 @@ class TestGammaCsv:
         with pytest.raises(DataFormatError, match=f"row 3: {column} must be finite"):
             read_gamma_csv(path)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_too_few_points_names_row(self, tmp_path, count):
+        path = tmp_path / "gamma.csv"
+        path.write_text(f"delta,gamma,stderr,n_points\n0.23,1.0,0.01,16\n0.5,1.1,0.01,{count}\n")
+        message = f"row 3: n_points must be an integer >= 2 for a slope fit, got {count}$"
+        with pytest.raises(DataFormatError, match=message):
+            read_gamma_csv(path)
+
+    def test_ceiling_factor_named_before_n_points_of_its_row(self, tmp_path):
+        path = tmp_path / "gamma.csv"
+        path.write_text("delta,gamma,stderr,n_points\n0.23,-1.0,0.01,1\n")
+        with pytest.raises(DataFormatError, match="row 2: ceiling factor must be positive, got -1.0$"):
+            read_gamma_csv(path)
+
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "gamma.csv"
         write_gamma_csv([GammaPoint(0.23, 1.0, 0.01, 16)], path)

@@ -48,6 +48,8 @@ WRONG_TYPED = [
     ),
     *(pytest.param("spacing", value, id=f"spacing-{value}") for value in (math.nan, math.inf, None, "abc")),
     *(pytest.param(field, 10**5000, id=f"{field}-10**5000") for field in ("prop_count", "config_id", "setpoint")),
+    # an int that its float rounds, which would read back as that float
+    *(pytest.param(field, 2**53 + 1, id=f"{field}-2**53+1") for field in (*FLOAT_FIELDS, "torque")),
 ]
 
 
@@ -168,6 +170,15 @@ class TestValidation:
         assert message == str(table_error.value) and message.startswith(f"{field} must be ")
         shown = f"an int of {value.bit_length()} bits" if value == 10**5000 else repr(value)
         assert message.endswith(f", got {shown}")
+
+    def test_int_array_value_that_would_not_read_back_rejected(self):
+        # an int64 column is read as its floats, and an int its float rounds is named
+        row = ["c", 0.023, 1, 0.0, 0.01, "s", 3.0, 1.0, 0.05, None, 2000.0]
+        columns = [[cell] * 2 for cell in row]
+        columns[FIELDS.index("voltage")] = np.array([3, 2**53 + 1])
+        with pytest.raises(ValueError) as raised:
+            SteadyTable(*columns)
+        assert str(raised.value) == "voltage must be finite, got 9007199254740993"
 
     def test_label_judged_after_the_numbers_of_its_row(self):
         good = ["c", 0.023, 1, 0.0, 0.01, "s", 3.0, 1.0, 0.05, None, 2000.0]
