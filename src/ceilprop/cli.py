@@ -8,6 +8,7 @@ predict-coeffs, power-saving, resonance, anomalies.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -84,8 +85,8 @@ def _expand_ranges(expr: str, log: bool = False) -> np.ndarray:
 
 
 def _sections(path, *names, blade=False):
-    # the parameter file at path, then its sections names; DataFormatError for
-    # the first missing, and with blade for a geometry without blade coefficients
+    # the sections names of the parameter file at path; DataFormatError for the
+    # first missing, and with blade for a geometry without blade coefficients
     if not os.path.exists(path):
         raise DataFormatError(f"{path}: parameter file not found")
     params = read_params(path)
@@ -95,24 +96,26 @@ def _sections(path, *names, blade=False):
             raise DataFormatError(f"{path}: parameter file has no {name} section")
         if name == "geometry" and blade and section.blade_coeffs is None:
             raise DataFormatError(f"{path}: geometry has no blade coefficients")
-    return params, *sections
+    return sections
 
 
-def _merge_params(path) -> ParamSet:
-    return read_params(path) if os.path.exists(path) else ParamSet()
+def _rig(args) -> dict:
+    # the rig parent's options, as synthesize_dataset and read_raw_csv take them
+    return {"config_id": args.config_id, "prop_count": args.prop_count, "spacing": args.spacing}
 
 
-def _fit_provenance(path, report, **extra) -> dict:
-    # what the ceiling and blade fits record of themselves in the parameter file
-    return {
-        "dataset_sha256": dataset_sha256(path),
-        "n_obs": report.n_obs,
-        "residual_rms": report.residual_rms,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "notes": list(report.notes),
-        **extra,
-    }
+def _record_fit(args, name, fitted, n_obs, report=None, **extra) -> None:
+    # the one way a fit command records its result: read the parameter file
+    # args.params, or start one; fitted(params) sets the fitted section and
+    # writes any other output, so a bad parameter file stops the command before
+    # it writes anything; then provenance[name] holds the input's hash, n_obs,
+    # the report's fields where there is a report, and extra
+    params = read_params(args.params) if os.path.exists(args.params) else ParamSet()
+    fitted(params)
+    if report is not None:  # its notes, a tuple, are written as a JSON list
+        extra = {key: getattr(report, key) for key in ("residual_rms", "converged", "iterations", "notes")} | extra
+    params.provenance[name] = {"dataset_sha256": dataset_sha256(args.input), "n_obs": n_obs, **extra}
+    write_params(params, args.params)
 
 
 def _fit_done(command, summary, report) -> int:
@@ -123,7 +126,7 @@ def _fit_done(command, summary, report) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _, geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor", blade=True)
+    geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor", blade=True)
     records = synthesize_dataset(
         geometry,
         ceiling,
@@ -133,9 +136,7 @@ def _cmd_synth(args) -> int:
         env=Environment(air_density=args.density),
         noise=args.noise,
         seed=args.seed,
-        config_id=args.config_id,
-        prop_count=args.prop_count,
-        spacing=args.spacing,
+        **_rig(args),
     )
     write_steady_csv(records, args.out)
     print(f"synth: wrote {len(records)} records to {args.out} (seed {args.seed}, noise {args.noise})")
@@ -143,14 +144,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    stream = read_raw_csv(
-        args.input,
-        radius=args.radius,
-        distance=args.distance,
-        config_id=args.config_id,
-        prop_count=args.prop_count,
-        spacing=args.spacing,
-    )
+    stream = read_raw_csv(args.input, radius=args.radius, distance=args.distance, **_rig(args))
     records = steady_state_extract(stream, window=args.window, stability_tol=args.stability_tol)
     write_steady_csv(records, args.out)
     print(f"extract: {len(records)} steady records from {args.input} to {args.out}")
@@ -160,15 +154,14 @@ def _cmd_extract(args) -> int:
 def _cmd_fit_motor(args) -> int:
     records = read_steady_csv(args.input)
     motor, report = identify_motor(records)
-    params = _merge_params(args.params)
-    params.motor = motor
-    params.provenance["motor_fit"] = {
-        "dataset_sha256": dataset_sha256(args.input),
-        "n_obs": report.n_obs,
-        "power_stage_rms_w": report.parameters["power_stage_rms"],
-        "voltage_stage_rms_v": report.parameters["voltage_stage_rms"],
-    }
-    write_params(params, args.params)
+    _record_fit(
+        args,
+        "motor_fit",
+        lambda params: setattr(params, "motor", motor),
+        report.n_obs,
+        power_stage_rms_w=report.parameters["power_stage_rms"],
+        voltage_stage_rms_v=report.parameters["voltage_stage_rms"],
+    )
     print(
         f"fit-motor: resistance {motor.resistance:.6g} ohm, "
         f"back-EMF {motor.back_emf:.6g} V s/rad ({report.n_obs} records)"
@@ -178,26 +171,16 @@ def _cmd_fit_motor(args) -> int:
 
 def _cmd_fit_gamma(args) -> int:
     records = read_steady_csv(args.input)
-    motor = None
-    if args.motor_params:
-        _, motor = _sections(args.motor_params, "motor")
-    eta, points = fit_eta_gamma(
-        records,
-        Environment(air_density=args.density),
-        motor=motor,
-        max_anchor_delta=args.max_anchor_delta,
-    )
-    params = _merge_params(args.params)
-    old_coeffs = params.geometry.blade_coeffs if params.geometry is not None else None
-    params.geometry = PropellerGeometry(radius=records[0].radius, figure_of_merit=eta, blade_coeffs=old_coeffs)
-    params.provenance["gamma_fit"] = {
-        "dataset_sha256": dataset_sha256(args.input),
-        "n_obs": len(records),
-        "n_gamma_points": len(points),
-        "figure_of_merit": eta,
-    }
-    write_gamma_csv(points, args.out)
-    write_params(params, args.params)
+    motor = _sections(args.motor_params, "motor")[0] if args.motor_params else None
+    env = Environment(air_density=args.density)
+    eta, points = fit_eta_gamma(records, env, motor=motor, max_anchor_delta=args.max_anchor_delta)
+
+    def fitted(params):  # a new geometry keeps the blade constants fitted before
+        old_coeffs = params.geometry.blade_coeffs if params.geometry is not None else None
+        params.geometry = PropellerGeometry(radius=records[0].radius, figure_of_merit=eta, blade_coeffs=old_coeffs)
+        write_gamma_csv(points, args.out)
+
+    _record_fit(args, "gamma_fit", fitted, len(records), n_gamma_points=len(points), figure_of_merit=eta)
     print(f"fit-gamma: figure of merit {eta:.6g}, {len(points)} ceiling-factor points to {args.out}")
     return 0
 
@@ -205,17 +188,16 @@ def _cmd_fit_gamma(args) -> int:
 def _cmd_fit_ceiling(args) -> int:
     points = read_gamma_csv(args.input)
     ceiling, report = fit_ceiling_params(points, reduced=args.reduced)
-    params = _merge_params(args.params)
-    params.ceiling = ceiling
-    params.provenance["ceiling_fit"] = _fit_provenance(args.input, report, reduced=args.reduced)
-    write_params(params, args.params)
+    _record_fit(
+        args, "ceiling_fit", lambda params: setattr(params, "ceiling", ceiling), report.n_obs, report, reduced=args.reduced
+    )
     summary = f"asymmetry {ceiling.asymmetry:.6g}, recirculation {ceiling.recirculation:.6g}"
     return _fit_done("fit-ceiling", summary, report)
 
 
 def _cmd_fit_blade(args) -> int:
     records = read_steady_csv(args.input)
-    params, geometry, ceiling = _sections(args.params, "geometry", "ceiling")
+    geometry, ceiling = _sections(args.params, "geometry", "ceiling")
     ct_points, ctau_points = flight_coefficient_points(records)
     coeffs, report = fit_blade_coefficients(
         ct_points,
@@ -225,14 +207,13 @@ def _cmd_fit_blade(args) -> int:
         ceiling=ceiling,
         env=Environment(air_density=args.density),
     )
-    params.geometry = replace(geometry, blade_coeffs=coeffs)
-    params.provenance["blade_fit"] = _fit_provenance(args.input, report)
-    write_params(params, args.params)
+    geometry = replace(geometry, blade_coeffs=coeffs)
+    _record_fit(args, "blade_fit", lambda params: setattr(params, "geometry", geometry), report.n_obs, report)
     return _fit_done("fit-blade", f"c0 {coeffs[0]:.6g}, c1 {coeffs[1]:.6g}, c2 {coeffs[2]:.6g}", report)
 
 
 def _cmd_predict_coeffs(args) -> int:
-    _, geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
+    geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
     env = Environment(air_density=args.density)
     deltas = _expand_ranges(args.deltas, log=args.log)
     gamma = ceiling_coefficient(deltas, ceiling)
@@ -245,7 +226,7 @@ def _cmd_predict_coeffs(args) -> int:
 
 
 def _cmd_power_saving(args) -> int:
-    _, geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor")
+    geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor")
     env = Environment(air_density=args.density)
     c_tau = args.c_tau
     if c_tau is None:
@@ -262,7 +243,7 @@ def _cmd_power_saving(args) -> int:
 
 
 def _cmd_resonance(args) -> int:
-    _, geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
+    geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
     scan = resonance_scan(geometry, ceiling, _expand_ranges(args.deltas, log=args.log))
     _write_table(args.out, ("delta", "inflow_ratio", "product"), (scan.deltas, scan.inflow_ratios, scan.products))
     print(f"resonance: {len(scan.deltas)} gap ratios to {args.out}")
@@ -271,13 +252,14 @@ def _cmd_resonance(args) -> int:
 
 def _cmd_anomalies(args) -> int:
     points = read_gamma_csv(args.input)
-    _, ceiling = _sections(args.params, "ceiling")
+    (ceiling,) = _sections(args.params, "ceiling")
     flagged = anomaly_scan(points, ceiling, threshold=args.threshold)
     _write_table(args.out, ("delta",), [flagged])
     print(f"anomalies: flagged {len(flagged)} of {len(points)} points to {args.out}")
     return 0
 
 
+@functools.cache  # one parser per process: building it costs more than parsing a command
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ceilprop", description="Ceiling-effect propeller models and bench-data fits.")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -286,13 +268,24 @@ def _build_parser() -> _Parser:
     density.add_argument(
         "--density", type=float, default=Environment().air_density, help="air density [kg/m^3] (default %(default)s)"
     )
+    table = argparse.ArgumentParser(add_help=False)  # the options every forward-table command takes
+    table.add_argument("--params", required=True)
+    table.add_argument("--log", action="store_true")
+    table.add_argument("--out", required=True)
+
+    def rig(config_id):  # one per command, as children share a parent's actions and so their defaults
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--config-id", default=config_id)
+        parent.add_argument("--prop-count", type=int, default=1)
+        parent.add_argument("--spacing", type=float, default=0.0)
+        return parent
 
     def add(name, handler, help_text, *parents):
         p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("synth", _cmd_synth, "generate a synthetic steady-state dataset from model parameters", density)
+    p = add("synth", _cmd_synth, "generate a synthetic steady-state dataset from model parameters", density, rig("synth"))
     p.add_argument("--params", required=True, help="parameter file with geometry, ceiling, and motor")
     p.add_argument("--out", required=True, help="output steady-state CSV")
     p.add_argument("--distances", required=True, help="ceiling distances [m], start:stop:count or comma list")
@@ -300,20 +293,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--log", action="store_true", help="space distance ranges logarithmically")
     p.add_argument("--noise", type=float, default=0.0, help="relative noise sigma per channel (default 0)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--config-id", default="synth")
-    p.add_argument("--prop-count", type=int, default=1)
-    p.add_argument("--spacing", type=float, default=0.0)
 
-    p = add("extract", _cmd_extract, "average steady windows of a raw log into steady records")
+    p = add("extract", _cmd_extract, "average steady windows of a raw log into steady records", rig("raw"))
     p.add_argument("--input", required=True, help="raw acquisition CSV")
     p.add_argument("--out", required=True, help="output steady-state CSV")
     p.add_argument("--radius", type=float, required=True, help="propeller radius [m]")
     p.add_argument("--distance", type=float, required=True, help="propeller-to-ceiling distance [m]")
     p.add_argument("--window", type=float, default=2.0, help="averaging window [s] (default 2.0)")
     p.add_argument("--stability-tol", type=float, default=0.05, help="max std/mean per channel (default 0.05)")
-    p.add_argument("--config-id", default="raw")
-    p.add_argument("--prop-count", type=int, default=1)
-    p.add_argument("--spacing", type=float, default=0.0)
 
     p = add("fit-motor", _cmd_fit_motor, "identify motor resistance and back-EMF constant")
     p.add_argument("--input", required=True, help="steady-state CSV with torque")
@@ -332,28 +319,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--reduced", action="store_true", help="pin recirculation to 0")
 
     p = add("fit-blade", _cmd_fit_blade, "fit lumped blade constants to coefficient-vs-delta data", density)
-    p.add_argument("--input", required=True, help="steady-state CSV with torque")
+    p.add_argument("--input", required=True, help="steady-state CSV; without torque the thrust series is fitted alone")
     p.add_argument("--params", required=True, help="parameter file with figure of merit and ceiling fit")
 
-    p = add("predict-coeffs", _cmd_predict_coeffs, "tabulate modeled flight coefficients vs gap ratio", density)
-    p.add_argument("--params", required=True)
+    p = add("predict-coeffs", _cmd_predict_coeffs, "tabulate modeled flight coefficients vs gap ratio", density, table)
     p.add_argument("--deltas", required=True, help="gap ratios, start:stop:count or comma list")
-    p.add_argument("--log", action="store_true")
-    p.add_argument("--out", required=True)
 
-    p = add("power-saving", _cmd_power_saving, "hover power versus ceiling distance", density)
-    p.add_argument("--params", required=True)
+    p = add("power-saving", _cmd_power_saving, "hover power versus ceiling distance", density, table)
     p.add_argument("--thrust", type=float, required=True, help="required thrust per propeller [N]")
     p.add_argument("--distances", required=True, help="ceiling distances [m], start:stop:count or comma list")
-    p.add_argument("--log", action="store_true")
     p.add_argument("--c-tau", type=float, help="constant torque coefficient [N m s^2/rad^2]")
-    p.add_argument("--out", required=True)
 
-    p = add("resonance", _cmd_resonance, "tabulate the resonance-scaling product vs gap ratio")
-    p.add_argument("--params", required=True)
+    p = add("resonance", _cmd_resonance, "tabulate the resonance-scaling product vs gap ratio", table)
     p.add_argument("--deltas", required=True)
-    p.add_argument("--log", action="store_true")
-    p.add_argument("--out", required=True)
 
     p = add("anomalies", _cmd_anomalies, "flag ceiling-factor points dipping below the fitted model")
     p.add_argument("--input", required=True, help="ceiling-factor CSV")

@@ -247,6 +247,13 @@ def _utf8_blocks(fh, path):
         yield block
 
 
+def _cell_over_limit(path, row_num) -> DataFormatError:
+    # the one csv.Error of the default dialect, a cell over the field limit,
+    # named by the row that opens the cell; a quoted cell left open gives it
+    limit = csv.field_size_limit()
+    return DataFormatError(f"{path}: row {row_num}: quoted cell not closed, or a cell over {limit} characters")
+
+
 def _read_table(path, spec, build):
     """Read the CSV table that spec declares and return build(columns).
 
@@ -259,10 +266,11 @@ def _read_table(path, spec, build):
     header line, raises DataFormatError at once.  Blank rows are skipped but
     counted.  Of the other rows, the first bad one is named, whatever its
     fault: a wrong cell count, a line holding a byte that is not UTF-8
-    (named by its line, even inside a quoted cell), a cell that does not
-    parse or a value that build rejects; build is given only the rows above
-    the first row that does not read.  A line ends at an LF, a CRLF or a
-    lone CR, as a row does for the csv module.
+    (named by its line, even inside a quoted cell), a quoted cell not closed
+    (named by its row once the csv module's field limit is passed), a cell
+    that does not parse or a value that build rejects; build is given only
+    the rows above the first row that does not read.  A line ends at an LF,
+    a CRLF or a lone CR, as a row does for the csv module.
 
     The C path parses the body with numpy's C tokenizer.  The csv path
     (csv.reader, then float() on each cell) reads it instead wherever the
@@ -278,20 +286,27 @@ def _read_table(path, spec, build):
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(itertools.chain.from_iterable(_utf8_blocks(fh, path)))
-        if (header := next(reader, None)) is None:
+        try:
+            header = next(reader, None)
+        except csv.Error:
+            raise _cell_over_limit(path, 1) from None
+        if header is None:
             raise DataFormatError(f"{path}: empty file, expected a header row")
         _check_header(header, spec, path)
         lines = _plain_body_lines(path)
         columns, fault, numbers = None, None, range(2, 2 + (lines or 0))
         if lines:
-            first = next(reader, [])
+            try:
+                first = next(reader, [])
+            except csv.Error:
+                raise _cell_over_limit(path, 2) from None
             fh.seek(0)
             if (columns := _parse_plain(fh, header, spec, lines, first)) is None:
                 fh.seek(0)  # the csv path reads from the top, past the header
                 reader = csv.reader(itertools.chain.from_iterable(_utf8_blocks(fh, path)))
                 next(reader)
         if columns is None:
-            rows, numbers = [], []  # the rows above the first that does not read, and each one's file row
+            rows, numbers, row_num = [], [], 1  # the rows above the first that does not read, each one's file row
             try:
                 for row_num, row in enumerate(reader, start=2):
                     if row:
@@ -302,6 +317,8 @@ def _read_table(path, spec, build):
                         rows.append(row)
             except DataFormatError as exc:  # a byte that is not UTF-8
                 fault = exc
+            except csv.Error:
+                fault = _cell_over_limit(path, row_num + 1)
             index = {name: header.index(name) for name in spec}
 
             def parse(rows):
@@ -609,11 +626,11 @@ def read_params(path) -> ParamSet:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             byte = exc.object[exc.start]
             raise DataFormatError(f"{path}: not UTF-8: byte {byte:#04x} at offset {exc.start}") from None
+        except (RecursionError, ValueError) as exc:  # bad syntax, deep nesting, an int over the digit limit
+            raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: top level: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:

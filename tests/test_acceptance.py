@@ -249,8 +249,8 @@ def blade_sse(ct_points, ctau_points, eta, ceiling):
     cq = np.array(ctau_points)
     d_ct, v_ct = ct[:, 0], ct[:, 1]
     d_cq, v_cq = cq[:, 0], cq[:, 1]
+    assert np.array_equal(d_ct, d_cq)  # every group has torque, so c_T is evaluated once for both series
     g_ct = ceiling_coefficient(d_ct, ceiling)
-    g_cq = ceiling_coefficient(d_cq, ceiling)
     norm_ct = v_ct[np.argmin(d_ct)]
     norm_cq = v_cq[np.argmin(d_cq)]
     area = GEOM_23.disc_area
@@ -268,8 +268,9 @@ def blade_sse(ct_points, ctau_points, eta, ceiling):
             c0 = block[:, 0][:, None]
             c1 = block[:, 1][:, None]
             c2 = block[:, 2][:, None]
-            r1 = (model_ct(c0, c1, c2, d_ct, g_ct) - v_ct) / norm_ct
-            m2 = model_ct(c0, c1, c2, d_cq, g_cq) ** 1.5 / (eta * g_cq * np.sqrt(2.0 * RHO * area))
+            m1 = model_ct(c0, c1, c2, d_ct, g_ct)
+            r1 = (m1 - v_ct) / norm_ct
+            m2 = m1**1.5 / (eta * g_ct * np.sqrt(2.0 * RHO * area))
             r2 = (m2 - v_cq) / norm_cq
             out[start : start + 20000] = np.sum(r1 * r1, axis=1) + np.sum(r2 * r2, axis=1)
         return out if out.size > 1 else float(out[0])

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -24,7 +25,10 @@ from ceilprop import (
     write_params,
     write_steady_csv,
 )
+from ceilprop import cli
 from ceilprop.cli import cli_dispatch
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -58,6 +62,58 @@ class TestUsage:
         assert run(command, "--help") == 0
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"--density DENSITY air density [kg/m^3] (default {Environment().air_density})" in help_text
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        run("--help")  # the parser exists from here on
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        assert run("--help") == 0
+        assert run("fit-motor", "--frives", "3") == 1
+        assert built == []
+
+    def test_options_pinned(self):
+        # each subcommand's options: (strings, required, default)
+        expected = {
+            "synth": [
+                ("--density", False, 1.2), ("--params", True, None), ("--out", True, None),
+                ("--distances", True, None), ("--setpoints", True, None), ("--log", False, False),
+                ("--noise", False, 0.0), ("--seed", False, 0), ("--config-id", False, "synth"),
+                ("--prop-count", False, 1), ("--spacing", False, 0.0),
+            ],
+            "extract": [
+                ("--input", True, None), ("--out", True, None), ("--radius", True, None), ("--distance", True, None),
+                ("--window", False, 2.0), ("--stability-tol", False, 0.05), ("--config-id", False, "raw"),
+                ("--prop-count", False, 1), ("--spacing", False, 0.0),
+            ],
+            "fit-motor": [("--input", True, None), ("--params", True, None)],
+            "fit-gamma": [
+                ("--density", False, 1.2), ("--input", True, None), ("--out", True, None), ("--params", True, None),
+                ("--motor-params", False, None), ("--max-anchor-delta", False, 0.5),
+            ],
+            "fit-ceiling": [("--input", True, None), ("--params", True, None), ("--reduced", False, False)],
+            "fit-blade": [("--density", False, 1.2), ("--input", True, None), ("--params", True, None)],
+            "predict-coeffs": [
+                ("--density", False, 1.2), ("--params", True, None), ("--deltas", True, None),
+                ("--log", False, False), ("--out", True, None),
+            ],
+            "power-saving": [
+                ("--density", False, 1.2), ("--params", True, None), ("--thrust", True, None),
+                ("--distances", True, None), ("--log", False, False), ("--c-tau", False, None),
+                ("--out", True, None),
+            ],
+            "resonance": [("--params", True, None), ("--deltas", True, None), ("--log", False, False), ("--out", True, None)],
+            "anomalies": [
+                ("--input", True, None), ("--params", True, None), ("--threshold", False, 0.1), ("--out", True, None),
+            ],
+        }
+        parser = cli._build_parser()
+        (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: sorted((*a.option_strings, a.required, a.default) for a in p._actions if a.dest != "help")
+            for name, p in commands.items()
+        }
+        assert found == {name: sorted(options) for name, options in expected.items()}
 
     def test_bad_range_syntax(self, truth_file, tmp_path):
         code = run(
@@ -324,6 +380,21 @@ class TestParameterFileErrors:
         assert capsys.readouterr().err == f"error: {truth_file}: {message}\n"
         assert truth_file.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 200_000 + "]" * 200_000, "invalid JSON: "),  # the RecursionError's text varies by Python
+            ('{"schema_version": 1, "motor": {"resistance_ohm": ' + "1" * 5001 + "}}", "invalid JSON: Exceeds the limit"),
+        ],
+        ids=["nested-too-deep", "int-over-digit-limit"],
+    )
+    def test_json_the_decoder_refuses_exits_2_naming_the_file(self, records_file, tmp_path, capsys, text, message):
+        fit = tmp_path / "fit.json"
+        fit.write_text(text)
+        assert run("fit-motor", "--input", records_file, "--params", fit) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fit}: {message}")
+        assert fit.read_text() == text
+
     def test_parameter_file_not_utf8_named(self, truth_file, tmp_path, capsys):
         truth_file.write_bytes(b"\xff\xfe" + truth_file.read_bytes())
         out = tmp_path / "coeffs.csv"
@@ -348,6 +419,32 @@ class TestMalformedTables:
         assert run("fit-ceiling", "--input", gamma_csv, "--params", fit, "--reduced") == 2
         assert message in capsys.readouterr().err
         assert not fit.exists()
+
+
+    def test_quoted_cell_not_closed_is_data_error(self, tmp_path, capsys):
+        # a stray quote before row 2 of the bundled table, 159 KB above the
+        # csv module's 128-KiB cell limit
+        lines = (DATA / "steady_23mm_synthetic.csv").read_text().split("\n")
+        lines[1] = '"' + lines[1]
+        bad, gamma_csv, fit = tmp_path / "bad.csv", tmp_path / "gamma.csv", tmp_path / "fit.json"
+        bad.write_text("\n".join(lines))
+        assert run("fit-gamma", "--input", bad, "--out", gamma_csv, "--params", fit) == 2
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == f"error: {bad}: row 2: quoted cell not closed, or a cell over {limit} characters\n"
+        assert not gamma_csv.exists() and not fit.exists()
+
+    @pytest.mark.parametrize("line", [1, 500])
+    def test_extract_quoted_cell_not_closed_is_data_error(self, tmp_path, capsys, line):
+        # row 501 lies past the first row, so the csv path's loop meets it
+        raw = tmp_path / "raw.csv"
+        lines = ["time_s,setpoint,voltage_v,current_a,thrust_n,torque_nm,omega_rad_s"]
+        lines += [f"{i / 1000.0},a,3.0,1.0,0.05,0.0001,2000.0" for i in range(20000)]
+        lines[line] = '"' + lines[line]
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "steady.csv"
+        assert run("extract", "--input", raw, "--out", out, "--radius", "0.023", "--distance", "0.01") == 2
+        assert capsys.readouterr().err.startswith(f"error: {raw}: row {line + 1}: quoted cell not closed")
+        assert not out.exists()
 
 
 class TestForwardTables:

@@ -282,6 +282,19 @@ class TestSteadyCsv:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 3: not UTF-8: byte 0xff$"):
             read_steady_csv(path)
 
+    @pytest.mark.parametrize("line", [1, 2, 3000])
+    def test_quoted_cell_not_closed_names_its_row(self, tmp_path, line):
+        # more than the csv module's 128-KiB cell limit follows the quote: at the
+        # header, at the first row (read alone before the C path), and in the body
+        lines = [",".join(STEADY_COLUMNS)] + [STEADY_ROW.replace("s0", f"s{i}") for i in range(8000)]
+        lines[line - 1] = '"' + lines[line - 1]
+        assert len("\n".join(lines[line - 1 :])) > csv.field_size_limit()
+        path = tmp_path / "steady.csv"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"row {line}: quoted cell not closed, or a cell over {csv.field_size_limit()} characters"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            read_steady_csv(path)
+
     @pytest.mark.parametrize("torque", ["\x1c1e-4", "1e-4\x1f"])
     def test_cell_with_separator_byte_named(self, tmp_path, torque):
         # str.strip() removes \x1c-\x1f but float() rejects them
@@ -784,6 +797,25 @@ class TestRawCsv:
         with pytest.raises(DataFormatError, match=message):
             read_raw_csv(path, radius=0.023, distance=0.01)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([], "row 501: quoted cell not closed"),
+            ([(300, ",3.0,", ",x,")], "row 301, column voltage_v: could not parse 'x'"),
+            ([(300, ",0.05,", ",nan,")], "row 301, column thrust_n: sample must be finite"),
+        ],
+        ids=["alone", "bad-cell-above", "bad-value-above"],
+    )
+    def test_quoted_cell_not_closed_is_one_more_bad_row(self, tmp_path, bad, message):
+        # the rows above the one that opens the cell are judged first
+        lines = raw_lines(20000)
+        for line, old, new in bad + [(500, "", '"')]:
+            lines[line] = new + lines[line] if old == "" else lines[line].replace(old, new)
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            read_raw_csv(path, radius=0.023, distance=0.01)
+
     def test_rows_above_a_fault_warn_of_no_gap(self, tmp_path):
         # they are read only to be judged, as the log is rejected
         lines = raw_lines()
@@ -1011,6 +1043,20 @@ class TestParamFiles:
         path = tmp_path / "fit.json"
         path.write_text("{not json")
         with pytest.raises(DataFormatError, match="invalid JSON"):
+            read_params(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000 + "]" * 200_000,
+            '{"schema_version": 1, "motor": {"resistance_ohm": ' + "1" * 5001 + ', "back_emf_v_s_per_rad": 0.001}}',
+        ],
+        ids=["nested-too-deep", "int-over-digit-limit"],
+    )
+    def test_json_the_decoder_refuses_names_file(self, tmp_path, text):
+        path = tmp_path / "fit.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: invalid JSON: "):
             read_params(path)
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, geom_23mm):
