@@ -45,12 +45,14 @@ __all__ = ["cli_dispatch", "main"]
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message, parser=None):
+        super().__init__(message)
+        self.parser = parser  # the parser that raised it, whose usage line is printed
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
 def _expand_ranges(expr: str, log: bool = False) -> np.ndarray:
@@ -85,8 +87,8 @@ def _expand_ranges(expr: str, log: bool = False) -> np.ndarray:
 
 
 def _sections(path, *names, blade=False):
-    # the sections names of the parameter file at path; DataFormatError for the
-    # first missing, and with blade for a geometry without blade coefficients
+    # the parameter file at path, then its sections names; DataFormatError for
+    # the first missing, and with blade for a geometry without blade coefficients
     if not os.path.exists(path):
         raise DataFormatError(f"{path}: parameter file not found")
     params = read_params(path)
@@ -96,7 +98,7 @@ def _sections(path, *names, blade=False):
             raise DataFormatError(f"{path}: parameter file has no {name} section")
         if name == "geometry" and blade and section.blade_coeffs is None:
             raise DataFormatError(f"{path}: geometry has no blade coefficients")
-    return sections
+    return [params, *sections]
 
 
 def _rig(args) -> dict:
@@ -104,13 +106,14 @@ def _rig(args) -> dict:
     return {"config_id": args.config_id, "prop_count": args.prop_count, "spacing": args.spacing}
 
 
-def _record_fit(args, name, fitted, n_obs, report=None, **extra) -> None:
-    # the one way a fit command records its result: read the parameter file
-    # args.params, or start one; fitted(params) sets the fitted section and
-    # writes any other output, so a bad parameter file stops the command before
-    # it writes anything; then provenance[name] holds the input's hash, n_obs,
-    # the report's fields where there is a report, and extra
-    params = read_params(args.params) if os.path.exists(args.params) else ParamSet()
+def _record_fit(args, params, name, fitted, n_obs, report=None, **extra) -> None:
+    # the one way a fit command records its result: params is the parameter
+    # file args.params as the command read it, or None to read it, or start
+    # one; fitted(params) sets the fitted section and writes any other output,
+    # so a bad parameter file stops the command before it writes anything; then
+    # provenance[name] holds the input's hash, n_obs, the report's fields where
+    # there is a report, and extra
+    params = params or (read_params(args.params) if os.path.exists(args.params) else ParamSet())
     fitted(params)
     if report is not None:  # its notes, a tuple, are written as a JSON list
         extra = {key: getattr(report, key) for key in ("residual_rms", "converged", "iterations", "notes")} | extra
@@ -126,7 +129,7 @@ def _fit_done(command, summary, report) -> int:
 
 
 def _cmd_synth(args) -> int:
-    geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor", blade=True)
+    _, geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor", blade=True)
     records = synthesize_dataset(
         geometry,
         ceiling,
@@ -155,10 +158,7 @@ def _cmd_fit_motor(args) -> int:
     records = read_steady_csv(args.input)
     motor, report = identify_motor(records)
     _record_fit(
-        args,
-        "motor_fit",
-        lambda params: setattr(params, "motor", motor),
-        report.n_obs,
+        args, None, "motor_fit", lambda params: setattr(params, "motor", motor), report.n_obs,
         power_stage_rms_w=report.parameters["power_stage_rms"],
         voltage_stage_rms_v=report.parameters["voltage_stage_rms"],
     )
@@ -171,7 +171,7 @@ def _cmd_fit_motor(args) -> int:
 
 def _cmd_fit_gamma(args) -> int:
     records = read_steady_csv(args.input)
-    motor = _sections(args.motor_params, "motor")[0] if args.motor_params else None
+    motor = _sections(args.motor_params, "motor")[1] if args.motor_params else None
     env = Environment(air_density=args.density)
     eta, points = fit_eta_gamma(records, env, motor=motor, max_anchor_delta=args.max_anchor_delta)
 
@@ -180,7 +180,7 @@ def _cmd_fit_gamma(args) -> int:
         params.geometry = PropellerGeometry(radius=records[0].radius, figure_of_merit=eta, blade_coeffs=old_coeffs)
         write_gamma_csv(points, args.out)
 
-    _record_fit(args, "gamma_fit", fitted, len(records), n_gamma_points=len(points), figure_of_merit=eta)
+    _record_fit(args, None, "gamma_fit", fitted, len(records), n_gamma_points=len(points), figure_of_merit=eta)
     print(f"fit-gamma: figure of merit {eta:.6g}, {len(points)} ceiling-factor points to {args.out}")
     return 0
 
@@ -189,7 +189,7 @@ def _cmd_fit_ceiling(args) -> int:
     points = read_gamma_csv(args.input)
     ceiling, report = fit_ceiling_params(points, reduced=args.reduced)
     _record_fit(
-        args, "ceiling_fit", lambda params: setattr(params, "ceiling", ceiling), report.n_obs, report, reduced=args.reduced
+        args, None, "ceiling_fit", lambda p: setattr(p, "ceiling", ceiling), report.n_obs, report, reduced=args.reduced
     )
     summary = f"asymmetry {ceiling.asymmetry:.6g}, recirculation {ceiling.recirculation:.6g}"
     return _fit_done("fit-ceiling", summary, report)
@@ -197,7 +197,7 @@ def _cmd_fit_ceiling(args) -> int:
 
 def _cmd_fit_blade(args) -> int:
     records = read_steady_csv(args.input)
-    geometry, ceiling = _sections(args.params, "geometry", "ceiling")
+    params, geometry, ceiling = _sections(args.params, "geometry", "ceiling")
     ct_points, ctau_points = flight_coefficient_points(records)
     coeffs, report = fit_blade_coefficients(
         ct_points,
@@ -208,12 +208,12 @@ def _cmd_fit_blade(args) -> int:
         env=Environment(air_density=args.density),
     )
     geometry = replace(geometry, blade_coeffs=coeffs)
-    _record_fit(args, "blade_fit", lambda params: setattr(params, "geometry", geometry), report.n_obs, report)
+    _record_fit(args, params, "blade_fit", lambda params: setattr(params, "geometry", geometry), report.n_obs, report)
     return _fit_done("fit-blade", f"c0 {coeffs[0]:.6g}, c1 {coeffs[1]:.6g}, c2 {coeffs[2]:.6g}", report)
 
 
 def _cmd_predict_coeffs(args) -> int:
-    geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
+    _, geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
     env = Environment(air_density=args.density)
     deltas = _expand_ranges(args.deltas, log=args.log)
     gamma = ceiling_coefficient(deltas, ceiling)
@@ -226,7 +226,7 @@ def _cmd_predict_coeffs(args) -> int:
 
 
 def _cmd_power_saving(args) -> int:
-    geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor")
+    _, geometry, ceiling, motor = _sections(args.params, "geometry", "ceiling", "motor")
     env = Environment(air_density=args.density)
     c_tau = args.c_tau
     if c_tau is None:
@@ -243,7 +243,7 @@ def _cmd_power_saving(args) -> int:
 
 
 def _cmd_resonance(args) -> int:
-    geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
+    _, geometry, ceiling = _sections(args.params, "geometry", "ceiling", blade=True)
     scan = resonance_scan(geometry, ceiling, _expand_ranges(args.deltas, log=args.log))
     _write_table(args.out, ("delta", "inflow_ratio", "product"), (scan.deltas, scan.inflow_ratios, scan.products))
     print(f"resonance: {len(scan.deltas)} gap ratios to {args.out}")
@@ -252,7 +252,7 @@ def _cmd_resonance(args) -> int:
 
 def _cmd_anomalies(args) -> int:
     points = read_gamma_csv(args.input)
-    (ceiling,) = _sections(args.params, "ceiling")
+    _, ceiling = _sections(args.params, "ceiling")
     flagged = anomaly_scan(points, ceiling, threshold=args.threshold)
     _write_table(args.out, ("delta",), [flagged])
     print(f"anomalies: flagged {len(flagged)} of {len(points)} points to {args.out}")
@@ -349,7 +349,7 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -3,10 +3,10 @@
 Every CSV table (UTF-8, LF, '.' decimal) is declared once, as a column spec
 mapping each column name to the kind of its cells, and is read by
 _read_table and written by _write_table.  _read_table parses a body with
-one np.loadtxt into a table allocated once, a text cell into a 16-byte field
-that is decoded once per run of equal cells, and falls back to the csv module
-for a body that this C path might read differently.  The steady-state table
-holds one row per setpoint:
+one np.loadtxt, which reads the file by path in blocks, into a table
+allocated once, a text cell into a 16-byte field decoded once per run of
+equal cells, and falls back to the csv module for a body that this C path
+might read differently.  The steady-state table holds one row per setpoint:
 
     config_id,radius_m,prop_count,spacing_m,distance_m,setpoint,
     voltage_v,current_a,thrust_n,torque_nm,omega_rad_s
@@ -158,8 +158,9 @@ _LABEL_BYTES = 16  # the bytes field of a text cell on the C path
 
 def _plain_body_lines(path):
     # the number of lines below the header, or None when the file is not a
-    # regular one or holds a byte of _DECLINED_BYTES or a CR outside a CRLF
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    # regular one, has a real name that np.loadtxt decompresses, or holds a
+    # byte of _DECLINED_BYTES or a CR outside a CRLF
+    if not stat.S_ISREG(os.stat(path).st_mode) or os.path.realpath(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
         return None
     lines, last = 0, b"\n"
     with open(path, "rb") as fh:
@@ -197,18 +198,19 @@ def _labels(table, name):
     return out
 
 
-def _parse_plain(fh, header, spec, lines, first):
+def _parse_plain(path, header, spec, lines, first):
     # the body through numpy's C tokenizer in one pass, into a table allocated
     # once: a text cell into a bytes field, every other cell as a float, but a
     # FLOAT_OR_EMPTY column empty in first (the first body row) into a 1-byte
-    # field, returned as [None] * lines.  None if the tokenizer rejects a cell
-    # (float() may read it), does not find one row per line (it skips a blank
-    # line) and one cell per header column, a column empty in the first row
-    # is not empty in every row, or _labels rejects a cell
+    # field, returned as [None] * lines.  None if the body is not UTF-8, the
+    # tokenizer rejects a cell (float() may read it), does not find one row per
+    # line (it skips a blank line) and one cell per header column, a column
+    # empty in the first row is not empty in every row, or _labels rejects a cell
     empty = {name for name, cell in zip(header, first) if spec[name] == FLOAT_OR_EMPTY and cell == ""}
     dtype = [(name, "S1" if name in empty else f"S{_LABEL_BYTES}" if spec[name] == TEXT else "f8") for name in header]
     try:
-        table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1)
+        path = os.path.realpath(path)  # which numpy cannot take for a URL; it reads a path in blocks
+        table = np.loadtxt(path, dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1, encoding="utf-8")
         if table.shape != (lines,) or any((table[name] != b"").any() for name in empty):
             return None
         columns = {}
@@ -276,8 +278,9 @@ def _read_table(path, spec, build):
     (csv.reader, then float() on each cell) reads it instead wherever the
     tokenizer might not read the same: an empty body; a file that is not a
     regular one, or holds a NUL, a byte from \x1c to \x1f or a CR outside a
-    CRLF; a cell the tokenizer rejects (a bad cell, one that only float()
-    reads, such as '1_0', or one with a byte that is not UTF-8); a
+    CRLF; a real name ending in .gz, .bz2, .xz or .lzma, which numpy would
+    decompress; a body that is not UTF-8; a cell the tokenizer rejects (a
+    bad cell, or one that only float() reads, such as '1_0'); a
     FLOAT_OR_EMPTY column that holds both empty and other cells; a text
     cell of 16 bytes or more, or one that is not ASCII; or a row count or
     cell count that differs from the line count and the header (a blank
@@ -300,11 +303,8 @@ def _read_table(path, spec, build):
                 first = next(reader, [])
             except csv.Error:
                 raise _cell_over_limit(path, 2) from None
-            fh.seek(0)
-            if (columns := _parse_plain(fh, header, spec, lines, first)) is None:
-                fh.seek(0)  # the csv path reads from the top, past the header
-                reader = csv.reader(itertools.chain.from_iterable(_utf8_blocks(fh, path)))
-                next(reader)
+            columns = _parse_plain(path, header, spec, lines, first)
+            reader = itertools.chain([first], reader)  # for the csv path, should the C path decline
         if columns is None:
             rows, numbers, row_num = [], [], 1  # the rows above the first that does not read, each one's file row
             try:
@@ -387,6 +387,7 @@ def _replacing(path):
 
 
 _BLOCK = 4096  # rows formatted or copied at a time, which bounds the memory a write or read takes
+_WINDOW_BLOCK = 256  # the last windows of a segment, tested for steadiness before all the windows before them
 
 
 def _quote(cell) -> str:
@@ -500,8 +501,10 @@ class RawSampleStream:
             if name == "time" and np.isfinite(value):
                 raise _RowError(i, f"timestamps must strictly increase, got {value} after {self.time[i - 1]}", name)
             raise _RowError(i, f"sample must be finite, got {value}", name)
+        # the median sampling interval, which steady_state_extract reads too
+        object.__setattr__(self, "_interval", float(np.median(dt, overwrite_input=True)) if len(dt) else math.nan)
         if len(dt) >= 2:
-            gaps = int(np.sum(dt > 2.0 * np.median(dt, overwrite_input=True)))  # the count ignores dt's order
+            gaps = int(np.sum(dt > 2.0 * self._interval))  # the count ignores dt's order
             if gaps:
                 warnings.warn(f"{gaps} sampling gaps exceed twice the median interval")
 
@@ -530,17 +533,18 @@ def read_raw_csv(path, radius, distance, config_id="raw", prop_count=1, spacing=
     return _read_table(path, RAW_SPEC, build)
 
 
-def _moving_stats(values: np.ndarray, width: int):
-    # windowed mean and population std via cumulative sums, O(n); centring on
-    # the segment mean first keeps the sums small, so the variance of a small
-    # ripple on a large level does not cancel away
+def _moving_stats(values: np.ndarray, width: int, start: int, stop: int):
+    # the mean and population std of windows start..stop-1 of values (window k
+    # is values[k : k + width]) by sums from values[0], so a window's figures do
+    # not depend on start and stop; centring on the mean of values keeps the
+    # sums small, so the variance of a small ripple on a large level survives
     offset = np.mean(values)
-    centred = values - offset
-    cs = np.concatenate([[0.0], np.cumsum(centred)])
-    cs2 = np.concatenate([[0.0], np.cumsum(centred * centred)])
-    mean = (cs[width:] - cs[:-width]) / width
-    var = (cs2[width:] - cs2[:-width]) / width - mean * mean
-    return mean + offset, np.sqrt(np.maximum(var, 0.0))
+    centred = values[: stop + width - 1] - offset
+    sums = np.zeros((2, len(centred) + 1))  # the cumulative sums of centred and of its square
+    np.cumsum(centred, out=sums[0, 1:])
+    np.cumsum(np.multiply(centred, centred, out=centred), out=sums[1, 1:])
+    mean, square = (sums[:, start + width :] - sums[:, start:stop]) / width
+    return mean + offset, np.sqrt(np.maximum(square - mean * mean, 0.0))
 
 
 def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability_tol: float = 0.05) -> SteadyTable:
@@ -555,8 +559,7 @@ def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability
     duration = float(stream.time[-1] - stream.time[0]) if len(stream.time) >= 2 else 0.0
     if duration < window:
         raise ValueError(f"stream spans {duration:.3g} s, shorter than the {window:.3g} s window")
-    dt = float(np.median(np.diff(stream.time)))
-    width = max(2, int(round(window / dt)))
+    width = max(2, int(round(window / stream._interval)))
     names = [name for name in _CHANNELS[2:] if getattr(stream, name) is not None]  # torque may be missing
 
     # contiguous runs of one setpoint label are treated as one segment
@@ -569,15 +572,22 @@ def steady_state_extract(stream: RawSampleStream, window: float = 2.0, stability
         if n < width:
             warnings.warn(f"setpoint {label}: segment shorter than the averaging window; skipped")
             continue
-        steady = np.ones(n - width + 1, dtype=bool)
-        for name in names:  # one channel at a time, as stacking them raises the peak memory several times
-            mean, std = _moving_stats(np.asarray(getattr(stream, name)[seg_start:seg_stop], dtype=float), width)
-            steady &= std / np.maximum(np.abs(mean), 1e-300) < stability_tol
-        if not np.any(steady):
+        cut = max(n - width + 1 - _WINDOW_BLOCK, 0)
+        for start, stop in ((cut, n - width + 1), (0, cut)):  # the last windows, then all the windows before them
+            steady = np.ones(stop - start, dtype=bool)
+            for name in names:  # one channel at a time, as stacking them raises the peak memory several times
+                values = np.asarray(getattr(stream, name)[seg_start:seg_stop], dtype=float)
+                mean, std = _moving_stats(values, width, start, stop)
+                steady &= std / np.maximum(np.abs(mean), 1e-300) < stability_tol
+                if not steady.any():  # on to the block before this one
+                    break
+            else:  # a window of this block is steady in every channel
+                break
+        else:
             warnings.warn(f"setpoint {label}: no steady window found; skipped")
             continue
         kept.append(label)
-        start = int(np.flatnonzero(steady)[-1]) + seg_start
+        start += int(np.flatnonzero(steady)[-1]) + seg_start
         means.append([np.mean(getattr(stream, name)[start : start + width]) for name in names])
 
     n = len(kept)

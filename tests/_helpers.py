@@ -1,5 +1,6 @@
-"""Shared builders for synthetic motor bench records, and a brute-force grid
-reference for checking iterative fits."""
+"""Shared builders for synthetic motor bench records, a brute-force grid
+reference for checking iterative fits, and an all-windows reference for
+checking steady-state extraction."""
 
 import warnings
 
@@ -71,3 +72,44 @@ def grid_oracle(objective, bounds, resolution: int = 100):
 
     best = int(np.argmin(values))
     return points[best].copy(), float(values[best])
+
+
+CHANNELS = ("voltage", "current", "thrust", "torque", "omega")  # a raw stream's channels, torque maybe None
+
+
+def window_ratios(stream, start, stop, width):
+    """std/|mean| of every window of samples start..stop-1 of stream, one row
+    per channel measured, all computed at once by cumulative sums of the
+    samples centred on their mean."""
+    rows = []
+    for name in CHANNELS:
+        if getattr(stream, name) is not None:
+            values = np.asarray(getattr(stream, name)[start:stop], dtype=float)
+            offset = np.mean(values)
+            centred = values - offset
+            cs = np.concatenate([[0.0], np.cumsum(centred)])
+            cs2 = np.concatenate([[0.0], np.cumsum(centred * centred)])
+            mean = (cs[width:] - cs[:-width]) / width
+            var = (cs2[width:] - cs2[:-width]) / width - mean * mean
+            mean, std = mean + offset, np.sqrt(np.maximum(var, 0.0))
+            rows.append(std / np.maximum(np.abs(mean), 1e-300))
+    return np.array(rows)
+
+
+def extract_oracle(stream, window=2.0, stability_tol=0.05):
+    """The (setpoint, channel means) pairs that steady_state_extract should
+    give, found by testing every window of each segment in every channel at
+    once and averaging the last window steady in all of them."""
+    width = max(2, int(round(window / float(np.median(np.diff(stream.time))))))
+    labels = np.asarray(stream.setpoint)
+    edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(labels)]
+    found = []
+    for start, stop in zip(edges[:-1], edges[1:]):
+        if stop - start < width:
+            continue
+        steady = (window_ratios(stream, start, stop, width) < stability_tol).all(axis=0)
+        if steady.any():
+            first = start + int(np.flatnonzero(steady)[-1])
+            channels = [getattr(stream, name) for name in CHANNELS]
+            found.append((str(labels[start]), [float(np.mean(c[first : first + width])) for c in channels if c is not None]))
+    return found

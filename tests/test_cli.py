@@ -63,6 +63,12 @@ class TestUsage:
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"--density DENSITY air density [kg/m^3] (default {Environment().air_density})" in help_text
 
+    def test_subcommand_usage_error_prints_its_usage(self, capsys):
+        assert run("fit-motor", "--input", "x.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the following arguments are required: --params\n")
+        assert "usage: ceilprop fit-motor" in err
+
     def test_parser_built_once_per_process(self, monkeypatch, capsys):
         run("--help")  # the parser exists from here on
         built = []
@@ -187,6 +193,16 @@ class TestPipeline:
             assert fitted == pytest.approx(true, rel=1e-3)
         assert set(params.provenance) == {"motor_fit", "gamma_fit", "ceiling_fit", "blade_fit"}
         assert params.provenance["ceiling_fit"]["converged"] is True
+
+    def test_fit_blade_reads_the_parameter_file_once(self, records_file, tmp_path, monkeypatch):
+        fit, gamma_csv = tmp_path / "fit.json", tmp_path / "gamma.csv"
+        assert run("fit-gamma", "--input", records_file, "--out", gamma_csv, "--params", fit) == 0
+        assert run("fit-ceiling", "--input", gamma_csv, "--params", fit, "--reduced") == 0
+        reads = []
+        monkeypatch.setattr(cli, "read_params", lambda path: reads.append(path) or read_params(path))
+        assert run("fit-blade", "--input", records_file, "--params", fit) == 0
+        assert reads == [str(fit)]
+        assert read_params(fit).geometry.blade_coeffs is not None
 
     def test_prediction_outputs(self, records_file, tmp_path):
         fit = tmp_path / "fit.json"

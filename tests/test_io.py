@@ -1,4 +1,5 @@
 import csv
+import gzip
 import io
 import json
 import os
@@ -34,6 +35,8 @@ from ceilprop import (
 )
 import ceilprop.io
 from ceilprop.io import GAMMA_COLUMNS, STEADY_COLUMNS, _moving_stats
+
+from _helpers import CHANNELS, extract_oracle, window_ratios
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 RAW_HEADER = "time_s,setpoint,voltage_v,current_a,thrust_n,torque_nm,omega_rad_s"
@@ -535,8 +538,64 @@ def constant_channels(n, voltage=3.0, current=1.0, thrust=0.05, torque=1e-4, ome
     )
 
 
+# the kinds of segment that the extraction property draws
+SEGMENT_KINDS = ("ramp", "wobble", "one channel unsteady", "steady only early", "one window")
+
+
+@st.composite
+def segmented_streams(draw):
+    """(stream, window, stability_tol): a 1 kHz stream of segments of
+    SEGMENT_KINDS, each of noisy levels: a ramp onto a plateau, a wobble
+    throughout, one channel wobbling throughout, a plateau followed by a long
+    wobble (so that its last steady window lies before the windows tested
+    first), and a plateau exactly one window long."""
+    width = draw(st.integers(20, 150))
+    kinds = draw(st.lists(st.sampled_from(SEGMENT_KINDS), min_size=2, max_size=4))
+    torque = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.array([3.0, 1.0, 0.05, 1e-4, 2000.0]) * rng.uniform(0.5, 2.0, 5)
+    noise = rng.uniform(0.0005, 0.01)
+    blocks, labels = [], []
+    for i, kind in enumerate(kinds):
+        n = width if kind == "one window" else width + int(rng.integers(1, 2500))
+        t = np.arange(n)
+        shape = np.ones((5, n))
+        if kind == "ramp":
+            shape -= rng.uniform(0.2, 0.8) * np.exp(-t / (rng.uniform(0.05, 0.5) * n))
+        wobble = 1.0 + rng.uniform(0.05, 0.2) * np.sin(2.0 * np.pi * t / rng.uniform(20.0, 400.0))
+        if kind == "wobble":
+            shape *= wobble
+        elif kind == "one channel unsteady":
+            shape[rng.integers(5)] *= wobble
+        elif kind == "steady only early":
+            shape[:, width + 300 :] *= wobble[width + 300 :]
+        blocks.append(levels[:, None] * shape * (1.0 + noise * rng.standard_normal((5, n))))
+        labels += [f"s{i}"] * n
+    stream = make_stream(np.arange(len(labels)) / 1000.0, labels, dict(zip(CHANNELS, np.hstack(blocks))), torque=torque)
+    if draw(st.booleans()):
+        return stream, width / 1000.0, draw(st.floats(0.002, 0.05))
+    # a tolerance at, or one ulp above, the smallest ratio of a segment's windows
+    # from some window on, so that a window with that ratio is steady by one ulp
+    # or not at all, and a ratio computed otherwise may flip it
+    seg = np.flatnonzero(np.array(labels) == f"s{draw(st.integers(0, len(kinds) - 1))}")
+    ratios = window_ratios(stream, seg[0], seg[-1] + 1, width).max(axis=0)
+    least = ratios[draw(st.integers(0, len(ratios) - 1)) :].min()
+    return stream, width / 1000.0, float(np.nextafter(least, np.inf) if draw(st.booleans()) else least)
+
+
 class TestSteadyStateExtract:
     RATE = 1000.0  # [Hz]
+
+    @PROPERTY
+    @given(segmented_streams())
+    def test_records_equal_the_all_windows_oracle(self, case):
+        stream, window, tol = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # skipped segments
+            records = steady_state_extract(stream, window=window, stability_tol=tol)
+        names = [name for name in CHANNELS if getattr(stream, name) is not None]
+        got = [(r.setpoint, [getattr(r, name) for name in names]) for r in records]
+        assert repr(got) == repr(extract_oracle(stream, window, tol))
 
     def test_constant_stream_one_record_per_setpoint(self):
         n = 3000
@@ -593,7 +652,7 @@ class TestSteadyStateExtract:
         # read window stds anywhere from 0 to 3.8e-3
         rng = np.random.default_rng(0)
         values = 3000.0 + 1e-3 * rng.standard_normal(200_000)
-        mean, std = _moving_stats(values, 2000)
+        mean, std = _moving_stats(values, 2000, 0, len(values) - 1999)
         assert np.all(np.abs(std - 1e-3) < 0.1e-3)
         starts = range(0, len(mean), 997)
         assert mean[::997] == pytest.approx([np.mean(values[i : i + 2000]) for i in starts], rel=1e-12)
@@ -968,6 +1027,47 @@ class TestRawCsvParsers:
             table = read_steady_csv(steady)
             assert len(table) == 1088 and table.config_id[0] == "synth-23mm"
             assert np.isnan(table.torque).all() != torque
+
+    def test_crlf_log_reads_as_its_lf_copy_on_the_c_path(self, tmp_path, monkeypatch):
+        lf = campaign_log(tmp_path / "raw.csv")
+        crlf = tmp_path / "raw_crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        want = read_raw_csv(lf, radius=0.023, distance=0.01)
+        monkeypatch.setattr(ceilprop.io, "_parse_column", lambda cells, kind: pytest.fail("body read by the csv path"))
+        assert_same_stream(read_raw_csv(crlf, radius=0.023, distance=0.01), want)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_log_named_as_compressed_reads_as_text(self, tmp_path, suffix):
+        # np.loadtxt decompresses a file by such a name, so it takes the csv path
+        plain = tmp_path / "raw.csv"
+        plain.write_text("\n".join(raw_lines()) + "\n")
+        named = tmp_path / f"raw.csv{suffix}"
+        named.write_bytes(plain.read_bytes())
+        assert_same_stream(read_raw_csv(named, radius=0.023, distance=0.01),
+                           read_raw_csv(plain, radius=0.023, distance=0.01))
+
+    def test_compressed_log_is_not_utf8(self, tmp_path):
+        path = tmp_path / "raw.csv.gz"
+        path.write_bytes(gzip.compress(("\n".join(raw_lines()) + "\n").encode()))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 1: not UTF-8: byte 0x8b$"):
+            read_raw_csv(path, radius=0.023, distance=0.01)
+
+    def test_not_utf8_in_a_plain_log_names_its_line(self, tmp_path):
+        # numpy decodes the body strictly and declines it; the csv path names the line
+        lines = raw_lines()
+        lines[1999] = lines[1999].replace(",a,", ",a\udcff,")
+        path = tmp_path / "raw.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 2000: not UTF-8: byte 0xff$"):
+            read_raw_csv(path, radius=0.023, distance=0.01)
+
+
+def assert_same_stream(got, want):
+    for name in ("time", "setpoint", "voltage", "current", "thrust", "torque", "omega"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist()), name
 
 
 JSON_VALUES = st.recursive(

@@ -3,7 +3,8 @@
 
     python3 tools/bench_record.py --out BENCH_6.json \
         [--tree parent=../parent-checkout] [--tree change=.] \
-        [--workloads campaign fit_batch sweep] [--runs 5] [--seed 11] [--seconds 10]
+        [--workloads campaign fit_batch sweep] [--runs 5] [--seed 11] [--seconds 10] \
+        [--traced campaign]
 
 For each workload, runs ``python3 bench/run.py --workload W --seed S
 --seconds T --trace 0`` --runs times in every tree (a checkout of the
@@ -16,7 +17,9 @@ SHA, Python and numpy versions, nproc, and the wall time of the tier-1 suite
 to PYTHONPATH) and its summary line, next to the line count of each
 ``src/ceilprop/*.py`` module and their total.  --out is written afresh with
 the trees of this one invocation only, so every record in it was measured
-under the same alternation.
+under the same alternation.  Each workload named by --traced is run once more
+per tree with ``--trace 1``, after its timed runs, and that run's per-layer
+metrics are recorded under ``traced``.
 """
 
 from __future__ import annotations
@@ -71,9 +74,10 @@ def _src_lines(tree: Path) -> dict:
     return {**counts, "total": sum(counts.values())}
 
 
-def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    out = subprocess.run(argv + ["--trace", "0"], cwd=tree, capture_output=True, text=True)
+    argv += ["--trace", str(trace)]
+    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(argv)} exited {out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -110,6 +114,8 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=5, help="runs per workload and tree (default 5)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=10.0, help="--seconds of each bench run (default 10)")
+    parser.add_argument("--traced", nargs="+", default=[], metavar="WORKLOAD",
+                        help="workloads also run once per tree with --trace 1")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -141,6 +147,9 @@ def main(argv=None) -> int:
                 print(f"{workload} run {run + 1}/{args.runs} {label}: request_ms_p50 {value:.4g} ms", file=sys.stderr)
         for label in trees:
             record[label]["bench"]["workloads"][workload] = _summary(results[label])
+        for label, tree in trees.items() if workload in args.traced else ():
+            traced = _bench(tree, workload, args.seed, args.seconds, trace=1)
+            record[label]["bench"].setdefault("traced", {})[workload] = traced
     for label, tree in trees.items():
         record[label]["tier1"] = _tier1(tree)
 
