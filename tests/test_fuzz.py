@@ -100,11 +100,11 @@ def test_mutated_inputs_exit_cleanly(tmp_path):
     )
     @given(st.sampled_from(sorted(COMMANDS)), st.integers(0, 2**32 - 1))
     def run(name, seed):
-        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
-            Path(scratch, "input").write_bytes(mutate(ORIGINALS[name], seed))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            Path(work, "input").write_bytes(mutate(ORIGINALS[name], seed))
             for argv in COMMANDS[name]:
-                shutil.copyfile(GOLDEN / "fit.json", Path(scratch, "fit.json"))
-                argv = [a.replace("{dir}", scratch) if isinstance(a, str) else str(a) for a in argv]
+                shutil.copyfile(GOLDEN / "fit.json", Path(work, "fit.json"))
+                argv = [a.replace("{dir}", work) if isinstance(a, str) else str(a) for a in argv]
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", UserWarning)  # skipped records and groups, not judged here

@@ -1063,7 +1063,7 @@ class TestRawCsvParsers:
 
 
 def assert_same_stream(got, want):
-    for name in ("time", "setpoint", "voltage", "current", "thrust", "torque", "omega"):
+    for name in ("time", "setpoint", *CHANNELS):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
