@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,7 @@ def cli_dispatch(argv) -> int:
 
 
 def main() -> None:
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)  # one line each
     sys.exit(cli_dispatch(sys.argv[1:]))
 
 

@@ -13,11 +13,13 @@ might read differently.  The steady-state table holds one row per setpoint:
 
 torque_nm may be empty (rigs with counter-rotating pairs measure no net
 torque).  _write_table writes columns a block of rows at a time, each row
-joined by "," and ended by LF: floats as repr (shortest round-trip, so
-write-then-read reproduces records exactly), ints as str, an empty cell as
-nothing, and a text cell holding a comma, quote, CR or LF in quotes with its
-quotes doubled, as the csv module quotes.  Every file is written beside its
-target and renamed over it, so a failed write leaves the old file as it was.
+joined by "," and ended by LF: floats as repr's bytes (shortest round-trip,
+so write-then-read reproduces records exactly), made for every float column
+of a block at once by the numpy kernel _shortest.float_text, ints as str, an
+empty cell as nothing, and a text cell holding a comma, quote, CR or LF in
+quotes with its quotes doubled, as the csv module quotes.  Every file is
+written beside its target and renamed over it, so a failed write leaves the
+old file as it was.
 
 Parameter files are schema-versioned JSON holding geometry, ceiling, and
 motor sections (all SI) plus free-form fit provenance.
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._shortest import float_text
 from .bemt import PropellerGeometry
 from .core import CeilingParams
 from .fitting import GammaPoint, SteadyTable, _columns, _points, _RowError
@@ -399,25 +402,21 @@ def _quote(cell) -> str:
     return cell
 
 
-def _cells(kind, block):
-    # one block of one column as str cells: floats in shortest round-trip form, nan as an empty cell
-    if kind == FLOAT:
-        return map(repr, np.asarray(block, dtype=float).tolist())
-    if kind == FLOAT_OR_EMPTY:
-        return ["" if math.isnan(v) else repr(v) for v in np.asarray(block, dtype=float).tolist()]
-    return map(str if kind == INT else _quote, block)
-
-
 def _write_table(path, spec, columns) -> None:
     """Write columns, one sequence of cells per column of spec, under the
     header of spec: a column spec or, for an all-float table, its column names."""
     kinds = list(spec.values()) if isinstance(spec, dict) else [FLOAT] * len(spec)
+    floats = [j for j, kind in enumerate(kinds) if kind in (FLOAT, FLOAT_OR_EMPTY)]
     (n,) = {len(column) for column in columns}
     with _replacing(path) as fh:
         fh.write(",".join(map(_quote, spec)) + "\n")
         for start in range(0, n, _BLOCK):
-            rows = zip(*(_cells(kind, column[start : start + _BLOCK]) for kind, column in zip(kinds, columns)))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+            block = [column[start : start + _BLOCK] for column in columns]
+            cells = [map(str if kind == INT else _quote, column) for kind, column in zip(kinds, block)]
+            texts = float_text([block[j] for j in floats], [kinds[j] == FLOAT_OR_EMPTY for j in floats]) if floats else ()
+            for j, text in zip(floats, texts):  # nan is an empty cell in a FLOAT_OR_EMPTY column
+                cells[j] = text
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_steady_csv(records, path) -> None:

@@ -1,12 +1,15 @@
 """Shared builders for synthetic motor bench records, a brute-force grid
-reference for checking iterative fits, and an all-windows reference for
-checking steady-state extraction."""
+reference for checking iterative fits, an all-windows reference for
+checking steady-state extraction, and a repr table writer for checking the
+float-cell kernel."""
 
+import math
 import warnings
 
 import numpy as np
 
 from ceilprop import SteadyRecord
+from ceilprop.io import FLOAT, FLOAT_OR_EMPTY, INT, _quote
 
 
 def make_record(voltage, current, torque, omega):
@@ -113,3 +116,21 @@ def extract_oracle(stream, window=2.0, stability_tol=0.05):
             channels = [getattr(stream, name) for name in CHANNELS]
             found.append((str(labels[start]), [float(np.mean(c[first : first + width])) for c in channels if c is not None]))
     return found
+
+
+def repr_table(spec, columns) -> str:
+    """The text io._write_table writes for columns under spec, made as it
+    was before float cells came from a numpy kernel: a FLOAT cell is repr of
+    the float, a FLOAT_OR_EMPTY cell too or "" for nan, an INT cell str and
+    a TEXT cell quoted as the csv module quotes."""
+    kinds = list(spec.values()) if isinstance(spec, dict) else [FLOAT] * len(spec)
+
+    def cells(kind, column):
+        if kind == FLOAT:
+            return map(repr, np.asarray(column, dtype=float).tolist())
+        if kind == FLOAT_OR_EMPTY:
+            return ["" if math.isnan(v) else repr(v) for v in np.asarray(column, dtype=float).tolist()]
+        return map(str if kind == INT else _quote, column)
+
+    rows = zip(*(cells(kind, column) for kind, column in zip(kinds, columns)))
+    return "\n".join([",".join(map(_quote, spec)), *map(",".join, rows)]) + "\n"

@@ -591,6 +591,29 @@ class TestExtract:
         assert [r.setpoint for r in records] == ["a", "b"]
         assert records[1].thrust == pytest.approx(0.08)
 
+    @pytest.fixture
+    def short_last_setpoint(self, tmp_path):
+        # 3 s of a steady setpoint, then 0.1 s of another, shorter than the window
+        raw = tmp_path / "raw.csv"
+        lines = ["time_s,setpoint,voltage_v,current_a,thrust_n,torque_nm,omega_rad_s"]
+        lines += [f"{i / 1000.0},a,3.0,1.0,0.05,0.0001,2000.0" for i in range(3000)]
+        lines += [f"{i / 1000.0},b,4.0,1.5,0.08,0.00016,2800.0" for i in range(3000, 3100)]
+        raw.write_text("\n".join(lines) + "\n")
+        return ["extract", "--input", str(raw), "--out", str(tmp_path / "steady.csv"), "--radius", "0.023",
+                "--distance", "0.01"]
+
+    def test_warning_is_one_stderr_line(self, short_last_setpoint):
+        env = dict(os.environ, PYTHONPATH=str(Path(ceilprop.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "ceilprop.cli", *short_last_setpoint], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "warning: setpoint b: segment shorter than the averaging window; skipped\n"
+
+    def test_dispatch_leaves_warnings_to_the_caller(self, short_last_setpoint, capsys):
+        with pytest.warns(UserWarning, match="setpoint b: segment shorter than the averaging window"):
+            assert cli_dispatch(short_last_setpoint) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestUndecodableTable:
     def test_steady_csv_not_utf8_names_file_and_line(self, records_file, tmp_path, capsys):
