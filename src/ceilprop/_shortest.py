@@ -12,7 +12,7 @@ _G = np.array([divmod((10 ** max(-k, 0) << max(s, 0) >> max(-s, 0)) // 10 ** max
 _P10 = 10 ** np.arange(20, dtype=np.uint64)
 _DIG4 = sum((np.arange(10000, dtype=np.uint64) // _P10[3 - j] % _U(10) + _U(48)) << _U(8 * j) for j in range(4))
 _PREFIX = np.array([0, *(int.from_bytes(b"\0" + b"0." + b"0" * z, "little") for z in range(4))], dtype=np.uint64)
-_SPECIAL = np.array([int.from_bytes(text, "little") for text in (b"", b"nan", b"inf", b"-inf")], dtype=np.uint64)
+_SPECIAL = np.array([int.from_bytes(text, "little") for text in (b"", b"", b"nan", b"inf", b"-inf")], dtype=np.uint64)
 _CHUNK = 4096  # cells at a time, whose temporaries stay in cache
 
 
@@ -63,9 +63,10 @@ def _digits(bits):
     return np.where(upin != wpin, sp10 + _U(10) * wpin, s + up), k - tiny
 
 
-def _words(flat):
-    # each finite float of flat as four words of ASCII with NUL gaps: the sign
-    # and a prefix 0.000, digits 0-7, digits 8-15, digits 16-17 and e+XXX LF
+def _words(flat, special):
+    # each float of flat as four words of ASCII with NUL gaps: the sign and a
+    # prefix 0.000, digits 0-7, digits 8-15, digits 16-17 and e+XXX LF; or, where
+    # special is not 0, the text _SPECIAL[special] and LF
     bits, ok = flat.view(np.uint64), flat != 0.0
     f, e = _digits(bits & _M63)
     f *= ok  # 0.0 is written from f = 0
@@ -90,14 +91,17 @@ def _words(flat):
         f -= quad * power
         words[1 + j // 2] |= _DIG4[quad] << _U(32 * (j % 2))
     words[3] = _DIG4[f] >> _U(16)  # the last two digits
-    p, kept = p.astype(np.uint64) * _U(8), kept * 8
+    point, end = p.astype(np.uint64) * _U(8), kept * 8  # in bits
     for j, word in enumerate(words[1:]):
-        word -= _U(2) << (p - _U(64 * j))  # the 0 becomes "."; shifts past 63 give 0
-        word &= ~(_ALL << np.minimum(np.maximum(kept - 64 * j, 0), 64).astype(np.uint64))
+        word -= _U(2) << (point - _U(64 * j))  # the 0 becomes "."; shifts past 63 give 0
+        word &= ~(_ALL << np.minimum(np.maximum(end - 64 * j, 0), 64).astype(np.uint64))
     exp = np.abs(decpt - 1).astype(np.uint64)
     exp = _DIG4[exp] >> (_U(8) << (exp < _U(100)))  # two digits at least
     words[3] |= ((_U(0x2B65) + (decpt < 1) * _U(0x200) + (exp << _U(16))) * sci << _U(16)) | _U(10 << 56)
     words[0] = (bits >> _U(63)) * _U(0x2D) | _PREFIX[small * (1 - decpt)]
+    if special.any():
+        words[:, special > 0] = [[0], [0], [0], [10 << 56]]
+        words[0] |= _SPECIAL[special]
     return words.T
 
 
@@ -105,14 +109,9 @@ def float_text(values, nan_empty) -> list[list[str]]:
     """Each row of the 2-D float array values as repr's strings, with nan
     as "" in the rows where nan_empty (one bool per row) holds."""
     x = np.ascontiguousarray(values, dtype=float)
-    finite = np.isfinite(x)
-    flat = np.where(finite, x, 1.0).ravel()
-    words = np.empty((len(flat), 4), dtype="<u8")
-    for start in range(0, len(flat), _CHUNK):
-        words[start : start + _CHUNK] = _words(flat[start : start + _CHUNK])
-    if not finite.all():
-        special = np.where(np.isnan(x), ~np.asarray(nan_empty, dtype=bool)[:, None], 2 + (x < 0))
-        words[~finite.ravel()] = [0, 0, 0, 10 << 56]
-        words[~finite.ravel(), 0] = _SPECIAL[special[~finite]]
-    cells = words.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    special = np.where(np.isnan(x), 2 - np.asarray(nan_empty, dtype=bool)[:, None], 3 + (x < 0)) * ~np.isfinite(x)
+    flat, special, cells = np.where(special > 0, 1.0, x).ravel(), special.ravel(), []
+    for start in range(0, len(flat), _CHUNK):  # each chunk's text at once, so the block's is never all held
+        words = _words(flat[start : start + _CHUNK], special[start : start + _CHUNK])
+        cells += words.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
     return [cells[i * x.shape[1] : (i + 1) * x.shape[1]] for i in range(len(x))]
